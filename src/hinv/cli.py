@@ -22,6 +22,7 @@ coloring of stderr summaries.
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -191,24 +192,28 @@ def _oracle_from_spec(spec, dim):
 def cmd_simulate(args):
     h = _load_hmatrix(args.h)
     if args.steps is not None:
-        if args.steps > h.n_minus_1:
-            _say(f"--steps {args.steps} exceeds the matrix dimension {h.n_minus_1}", "red")
+        if not 0 <= args.steps <= h.n_minus_1:
+            _say(f"--steps {args.steps} is outside 0..{h.n_minus_1} (the matrix dimension)", "red")
             return EXIT_MALFORMED
         h = h.truncate(args.steps)
     try:
+        if args.r_sq is not None and not 0 < args.r_sq < math.inf:
+            raise ValueError(f"--r-sq must be positive and finite, got {args.r_sq}")
         oracle = _oracle_from_spec(args.oracle, h.n)
         if args.y0 == "worstcase":
             if args.oracle != "worstcase":
                 raise ValueError("--y0 worstcase only pairs with --oracle worstcase")
-            y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq else 1.0)
+            y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq is not None else 1.0)
         else:
             with open(args.y0, encoding="utf-8") as fh:
                 y0 = np.array(json.load(fh), dtype=float)
-    except (OSError, ValueError) as exc:
+        r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
+        if not 0 < r_sq < math.inf:
+            raise ValueError("--y0 must be finite and nonzero (|y0|^2 is the default --r-sq)")
+        traj = simulate.run(h, oracle, y0, r_sq=r_sq)
+    except (OSError, ValueError, TypeError) as exc:
         _say(f"simulate: {exc}", "red")
         return EXIT_MALFORMED
-    r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
-    traj = simulate.run(h, oracle, y0, r_sq=r_sq)
     print("k,residual_sq,bound_sq,ratio")
     for k, (res, bnd) in enumerate(zip(traj.residuals_sq, traj.bound_sq)):
         print(f"{k},{res:.17g},{bnd:.17g},{res / bnd:.17g}")
@@ -223,8 +228,7 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
-def _sweep_cell(family, n, n_prime):
-    h = _generate(family, n, n_prime)
+def _sweep_cell(family, n, n_prime, h):
     verdict = certify(h)
     min_lam = ""
     if verdict.certificates is not None:
@@ -240,6 +244,8 @@ def _sweep_cell(family, n, n_prime):
 
 
 def cmd_sweep(args):
+    # Every cell's matrix is generated before the header, so a bad range
+    # fails cleanly with no partial CSV on stdout.
     try:
         ns = _parse_range(args.n_range)
         cells = []
@@ -256,6 +262,7 @@ def cmd_sweep(args):
                     cells.extend((args.family, n, p) for p in primes if 2 <= p <= n - 2)
                 else:
                     cells.append((args.family, n, None))
+        cells = [cell + (_generate(*cell),) for cell in cells]
     except ValueError as exc:
         _say(f"sweep: {exc}", "red")
         return EXIT_MALFORMED

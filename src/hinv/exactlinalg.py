@@ -1,11 +1,13 @@
 """Small dense exact linear algebra over rationals.
 
 Everything operates on lists of lists of ``fractions.Fraction`` and is sized
-for the modest dimensions this package needs (a couple of dozen rows at
-most), so plain Gaussian elimination is used throughout.  No floating point
-enters anywhere in this module.
+for the modest dimensions this package needs (a few dozen rows at most), so
+plain Gaussian elimination is used throughout; the rank-revealing solvers
+(`solve_consistent`, `mat_nullspace`) eliminate fraction-free over the
+integers.  No floating point enters anywhere in this module.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -23,18 +25,6 @@ def identity(n):
 
 def mat_copy(a):
     return [[Fraction(x) for x in row] for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -106,63 +96,95 @@ def mat_solve(a, b):
     return [row[n] for row in aug]
 
 
-def _row_reduce(aug, cols):
-    """In-place Gauss-Jordan on an augmented matrix; returns pivot columns."""
+def _integer_echelon(rows, cols):
+    """Fraction-free row echelon form over the integers; returns (rows, pivot columns).
+
+    Each rational row is scaled to coprime integers, which leaves its row
+    space unchanged.  Elimination then replaces a row by
+    pivot * row - factor * pivot_row and divides out the row's content, so
+    every step is a Python-integer operation.  Pivot columns are the first
+    nonzero column among the remaining rows, as in Gauss-Jordan.
+    """
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
     pivots = []
-    row = 0
     for col in range(cols):
-        pivot = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(out)) if out[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        out[top], out[pivot] = out[pivot], out[top]
+        prow = out[top][col:]
+        p = prow[0]
+        for r in range(top + 1, len(out)):
+            f = out[r][col]
+            if f:
+                new = [p * x - f * y for x, y in zip(out[r][col:], prow)]
+                g = math.gcd(*new)
+                out[r][col:] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
-        row += 1
-        if row == len(aug):
+        if len(pivots) == len(out):
             break
-    return pivots
+    return out, pivots
+
+
+def _back_substitute(ech, pivots, cols, rhs_columns):
+    """Solutions of an echelon system, free variables zero, one per right-hand side.
+
+    ``rhs_columns[k][r]`` is the k-th right-hand side entry of echelon row r.
+    Returns one solution vector of length ``cols`` per right-hand side.
+    """
+    solutions = []
+    for rhs in rhs_columns:
+        x = [Fraction(0)] * cols
+        for r in reversed(range(len(pivots))):
+            row = ech[r]
+            acc = Fraction(rhs[r]) - sum(
+                (row[c] * x[c] for c in pivots[r + 1:] if row[c]), Fraction(0)
+            )
+            x[pivots[r]] = acc / row[pivots[r]]
+        solutions.append(x)
+    return solutions
 
 
 def solve_consistent(a, b):
     """One solution of a (possibly rank-deficient) consistent system.
 
-    Free variables are set to zero.  Raises InconsistentSystemError when the
-    system has no solution.
+    ``b`` is one right-hand side (a vector) or several (a matrix with one
+    column per right-hand side); the solution has the same shape, and one
+    elimination serves every column.  Free variables are set to zero.
+    Raises InconsistentSystemError when the system has no solution.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [list(row) + [Fraction(rhs)] for row, rhs in zip(mat_copy(a), b)]
-    pivots = _row_reduce(aug, n)
-    for r in range(len(pivots), m):
-        if aug[r][n] != 0:
-            raise InconsistentSystemError("system has no solution")
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
-    return x
+    several = bool(b) and isinstance(b[0], (list, tuple))
+    width = len(b[0]) if several else 1
+    ech, pivots = _integer_echelon(
+        [list(row) + (list(rhs) if several else [rhs]) for row, rhs in zip(a, b)], n
+    )
+    if any(any(row[n:]) for row in ech[len(pivots):]):
+        raise InconsistentSystemError("system has no solution")
+    columns = _back_substitute(ech, pivots, n, [[row[n + k] for row in ech] for k in range(width)])
+    if several:
+        return [[col[i] for col in columns] for i in range(n)]
+    return columns[0]
 
 
 def mat_nullspace(a):
     """Basis of the right null space of a rectangular matrix."""
     m = len(a)
     n = len(a[0]) if m else 0
-    red = mat_copy(a)
-    pivots = _row_reduce(red, n)
+    ech, pivots = _integer_echelon(a, n)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -red[r][free]
-        basis.append(vec)
+    frees = [c for c in range(n) if c not in pivot_set]
+    basis = _back_substitute(ech, pivots, n, [[-row[f] for row in ech] for f in frees])
+    for vec, f in zip(basis, frees):
+        vec[f] = Fraction(1)
     return basis
 
 

@@ -18,7 +18,7 @@ from .algebra import HMatrix, QProfile, h_from_q_profile
 from .catalog import BOTTOM, TOP
 from .certify import CertificateSet, certificates
 from .combinatorics import binom
-from .exactlinalg import mat_nullspace
+from .exactlinalg import mat_nullspace, solve_consistent
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,19 @@ def q_by_enumeration(h: HMatrix, k: int, m: int, j: int) -> Fraction:
 # Quadratic-form expansion of the certificate identity.
 
 
+def _iterate_offsets(h: HMatrix):
+    """w_i = x_i - y_0 over the g-basis (index 1..N, index 0 unused), i = 1..N."""
+    n = h.n
+    w = {}
+    for i in range(1, n + 1):
+        vec = [Fraction(0)] * (n + 1)
+        for b in range(1, i):
+            vec[b] = -2 * h.column_sum(b, b, i - 1)
+        vec[i] -= 1
+        w[i] = vec
+    return w
+
+
 def s_by_expansion(h: HMatrix, lam: CertificateSet):
     """Coefficient table of the certificate identity by direct expansion.
 
@@ -84,15 +97,7 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
     if lam.n != n:
         raise ValueError(f"certificate set has horizon {lam.n}, matrix needs {n}")
 
-    # w_i = x_i - y_0 over the g-basis (index 1..n).
-    w = {}
-    for i in range(1, n + 1):
-        vec = [Fraction(0)] * (n + 1)
-        for b in range(1, i):
-            vec[b] = -2 * h.column_sum(b, b, i - 1)
-        vec[i] -= 1
-        w[i] = vec
-
+    w = _iterate_offsets(h)
     raw = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     raw[n][n] += n
     for b in range(1, n + 1):
@@ -114,6 +119,76 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
         for j in range(1, k):
             table[(k, j)] = raw[k][j] + raw[j][k]
     return table
+
+
+# ---------------------------------------------------------------------------
+# Witness direction by dense normal equations.
+
+
+def _dense_trace_inner(x, y):
+    return sum((a * b for rx, ry in zip(x, y) for a, b in zip(rx, ry) if a and b), Fraction(0))
+
+
+def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
+    """The direction of :func:`hinv.worstcase.build_perturbation`, by the dense route.
+
+    Writes every constraint as a dense (N+1)x(N+1) matrix entrywise from the
+    iterate coordinates, then projects each terminal selector separately
+    off the span of all other constraints (the monotonicity matrices except
+    (i0, j0), the fixed-point matrices, the corner and the other selector)
+    by its own normal-equation solve on the dense trace-Gram matrix.  No
+    vector pairs, no shared elimination, no rank-one update.  Performs no
+    certificate or trace checks; the caller picks a negative pair.
+    """
+    n = h.n
+    dim = n + 1
+    w = _iterate_offsets(h)
+    # Coordinates: g_1..g_N are indices 0..N-1, y_0 - y_star is index N.
+    xs = {i: w[i][1:] + [Fraction(1)] for i in range(1, n + 1)}
+
+    def sym_outer(u, v):
+        return [[(u[r] * v[c] + v[r] * u[c]) / 2 for c in range(dim)] for r in range(dim)]
+
+    def unit(i):
+        return [Fraction(int(r == i - 1)) for r in range(dim)]
+
+    span = [
+        sym_outer([a - b for a, b in zip(xs[i], xs[j])], [a - b for a, b in zip(unit(i), unit(j))])
+        for i in range(2, n + 1)
+        for j in range(1, i)
+        if (i, j) != (i0, j0)
+    ]
+    span += [sym_outer(xs[i], unit(i)) for i in range(1, n + 1)]
+    corner = [[Fraction(0)] * dim for _ in range(dim)]
+    corner[n][n] = Fraction(1)
+    span.append(corner)
+    d = [[Fraction(0)] * dim for _ in range(dim)]
+    d[n - 1][n - 1] = Fraction(1)
+    d[n - 1][n] = d[n][n - 1] = Fraction(-1, n)
+    e = [[Fraction(0)] * dim for _ in range(dim)]
+    e[n - 1][n - 1] = Fraction(1)
+    members = span + [d, e]
+    gram = [[Fraction(0)] * len(members) for _ in members]
+    for r, x in enumerate(members):
+        for c, y in enumerate(members[: r + 1]):
+            gram[r][c] = gram[c][r] = _dense_trace_inner(x, y)
+
+    def off_span(t):
+        """members[t] minus its projection onto all other members, by normal equations."""
+        keep = [r for r in range(len(members)) if r != t]
+        coeffs = solve_consistent(
+            [[gram[r][c] for c in keep] for r in keep], [gram[r][t] for r in keep]
+        )
+        out = [list(row) for row in members[t]]
+        for coeff, r in zip(coeffs, keep):
+            for i, row in enumerate(members[r]):
+                for j, x in enumerate(row):
+                    if x:
+                        out[i][j] -= coeff * x
+        return out
+
+    part1, part2 = off_span(len(members) - 2), off_span(len(members) - 1)
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text) -> Fraction:
+    if isinstance(text, bool):
+        raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
@@ -53,11 +55,11 @@ def hmatrix_from_dict(data) -> HMatrix:
     if not isinstance(data, dict) or "rows" not in data:
         raise ValueError("step matrix document must be an object with a 'rows' field")
     rows = data["rows"]
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("'rows' must be a list of lists")
     h = HMatrix([[parse_rational(x) for x in row] for row in rows])
     declared = data.get("n")
-    if declared is not None and declared != h.n_minus_1:
+    if declared is not None and (isinstance(declared, bool) or declared != h.n_minus_1):
         raise ValueError(f"declared dimension {declared} does not match {h.n_minus_1} rows")
     return h
 

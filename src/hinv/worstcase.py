@@ -191,33 +191,87 @@ def gram_g0(h: HMatrix):
 
 @dataclass(frozen=True)
 class ConstraintBasis:
-    """Symbolic interpolation constraint matrices for one method.
+    """Symbolic interpolation constraints for one method, as rank-2 vector pairs.
 
     In the coordinates g_i = e_i (i = 1..N), y_0 - y_star = e_{N+1}, the
     iterates are exact linear expressions in the basis, and each
     monotonicity inequality <x_i - x_j, g_i - g_j> >= 0 (resp.
-    <x_i - y_star, g_i> >= 0) becomes a trace inequality against the
-    symmetrized outer product stored here.  ``c``, ``d``, ``e`` are the
-    corner normalizer and the two terminal-entry selectors used by the
-    perturbation construction.
+    <x_i - y_star, g_i> >= 0) becomes a trace inequality against a
+    symmetrized outer product sym(u v^T) = (u v^T + v u^T) / 2.  Each
+    constraint is stored as its pair (u, v):
+
+        a[(i, j)]: (x_i - x_j, e_i - e_j)     b[i]: (x_i, e_i)
+        c: (e_{N+1}, e_{N+1})                 d: (e_N, e_N - (2/N) e_{N+1})
+        e: (e_N, e_N)
+
+    ``c``, ``d``, ``e`` are the corner normalizer and the two terminal-entry
+    selectors used by the perturbation construction.  For a symmetric X the
+    trace of X against sym(u v^T) is u^T X v, and two constraints meet in
+        <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p)) / 2,
+    so nothing downstream needs the dense matrices; the properties ``a``,
+    ``b``, ``c``, ``d``, ``e`` expand them on each access.
     """
 
     n: int
-    a: dict
-    b: dict
-    c: list
-    d: list
-    e: list
+    a_pairs: dict
+    b_pairs: dict
+    c_pair: tuple
+    d_pair: tuple
+    e_pair: tuple
+
+    def _matrix(self, pair):
+        return _sym_combination([(1, pair)], self.n + 1)
+
+    @property
+    def a(self):
+        return {key: self._matrix(pair) for key, pair in self.a_pairs.items()}
+
+    @property
+    def b(self):
+        return {key: self._matrix(pair) for key, pair in self.b_pairs.items()}
+
+    @property
+    def c(self):
+        return self._matrix(self.c_pair)
+
+    @property
+    def d(self):
+        return self._matrix(self.d_pair)
+
+    @property
+    def e(self):
+        return self._matrix(self.e_pair)
 
 
-def _sym_outer(u, v, dim):
+def _dot(u, v):
+    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+
+
+def _sym_combination(terms, dim):
+    """Dense sym(sum_k c_k u_k v_k^T) for terms (c_k, (u_k, v_k))."""
     m = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        ui = u[i]
-        vi = v[i]
-        for j in range(dim):
-            m[i][j] = (ui * v[j] + vi * u[j]) / 2
-    return m
+    for c, (u, v) in terms:
+        if not c:
+            continue
+        for j, vj in enumerate(v):
+            if vj:
+                cv = c * vj
+                for i, ui in enumerate(u):
+                    if ui:
+                        m[i][j] += cv * ui
+    return [[(m[i][j] + m[j][i]) / 2 for j in range(dim)] for i in range(dim)]
+
+
+def _pair_inner(p, q):
+    """Trace inner product of sym(u v^T) and sym(s t^T) for pairs p = (u, v), q = (s, t)."""
+    (u, v), (s, t) = p, q
+    return (_dot(u, s) * _dot(v, t) + _dot(u, t) * _dot(v, s)) / 2
+
+
+def _pair_trace(x, pair):
+    """Trace of a symmetric matrix x against sym(u v^T), i.e. u^T x v."""
+    u, v = pair
+    return _dot(u, [_dot(row, v) for row in x])
 
 
 def constraint_matrices(h: HMatrix) -> ConstraintBasis:
@@ -231,31 +285,32 @@ def constraint_matrices(h: HMatrix) -> ConstraintBasis:
 
     # x_i = y_{i-1} - g_i with y_i = e_{N+1} - sum_j (2 * column sums) e_j.
     xs = {}
+    y = basis_vec(dim)
     for i in range(1, n + 1):
-        vec = [Fraction(0)] * dim
-        vec[dim - 1] = Fraction(1)
-        for j in range(1, i):
-            vec[j - 1] = -2 * h.column_sum(j, j, i - 1)
-        vec[i - 1] -= 1
-        xs[i] = vec
+        xs[i] = list(y)
+        xs[i][i - 1] -= 1
+        if i < n:
+            y = [yj - 2 * hij for yj, hij in zip(y, h.rows[i - 1])] + y[i:]
 
-    a = {}
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            dx = [xi - xj for xi, xj in zip(xs[i], xs[j])]
-            dg = [gi - gj for gi, gj in zip(basis_vec(i), basis_vec(j))]
-            a[(i, j)] = _sym_outer(dx, dg, dim)
-    b = {i: _sym_outer(xs[i], basis_vec(i), dim) for i in range(1, n + 1)}
-
-    c = [[Fraction(0)] * dim for _ in range(dim)]
-    c[dim - 1][dim - 1] = Fraction(1)
-    d = [[Fraction(0)] * dim for _ in range(dim)]
-    d[n - 1][n - 1] = Fraction(1)
-    d[n - 1][dim - 1] = Fraction(-1, n)
-    d[dim - 1][n - 1] = Fraction(-1, n)
-    e = [[Fraction(0)] * dim for _ in range(dim)]
-    e[n - 1][n - 1] = Fraction(1)
-    return ConstraintBasis(n=n, a=a, b=b, c=c, d=d, e=e)
+    a = {
+        (i, j): (
+            [xi - xj for xi, xj in zip(xs[i], xs[j])],
+            [gi - gj for gi, gj in zip(basis_vec(i), basis_vec(j))],
+        )
+        for i in range(2, n + 1)
+        for j in range(1, i)
+    }
+    b = {i: (xs[i], basis_vec(i)) for i in range(1, n + 1)}
+    d = basis_vec(n)
+    d[dim - 1] = Fraction(-2, n)
+    return ConstraintBasis(
+        n=n,
+        a_pairs=a,
+        b_pairs=b,
+        c_pair=(basis_vec(dim), basis_vec(dim)),
+        d_pair=(basis_vec(n), d),
+        e_pair=(basis_vec(n), basis_vec(n)),
+    )
 
 
 def _trace_inner(x, y):
@@ -272,11 +327,13 @@ def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
     gram = [[as_rational(x) for x in row] for row in gram]
     if len(gram) != n + 1 or any(len(row) != n + 1 for row in gram):
         raise ValueError(f"gram matrix must be {n + 1}x{n + 1} for this method")
+    # <G, sym(u v^T)> = u^T sym(G) v; symmetrizing is exact and a no-op on a Gram matrix.
+    gram = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(gram, zip(*gram))]
     basis = constraint_matrices(h)
     return TraceLedger(
         n=n,
-        a_traces={key: _trace_inner(gram, mat) for key, mat in basis.a.items()},
-        b_traces={key: _trace_inner(gram, mat) for key, mat in basis.b.items()},
+        a_traces={key: _pair_trace(gram, pair) for key, pair in basis.a_pairs.items()},
+        b_traces={key: _pair_trace(gram, pair) for key, pair in basis.b_pairs.items()},
     )
 
 
@@ -312,35 +369,53 @@ def adjugate_spotcheck(h: HMatrix) -> bool:
     )
 
 
-def _project_off_span(v, span):
-    """v minus its trace-orthogonal projection onto the span of the given matrices.
+def _project_off_span(targets, span, dim):
+    """Each target minus its trace-orthogonal projection onto the span.
 
-    Least squares by exact normal equations; the spanning set may be
-    linearly dependent (free coefficients are taken as zero).
+    Targets and span members are constraint pairs.  The span's trace-Gram
+    matrix comes from vector dot products and is reduced once, by exact
+    normal equations with one right-hand side per target; the spanning set
+    may be linearly dependent (free coefficients are taken as zero).
+    Returns one dense symmetric matrix per target.
     """
-    gram = [[_trace_inner(x, y) for y in span] for x in span]
-    rhs = [_trace_inner(x, v) for x in span]
+    gram = [[Fraction(0)] * len(span) for _ in span]
+    for k, p in enumerate(span):
+        for m, q in enumerate(span[: k + 1]):
+            gram[k][m] = gram[m][k] = _pair_inner(p, q)
+    rhs = [[_pair_inner(p, t) for t in targets] for p in span]
     coeffs = solve_consistent(gram, rhs)
-    out = [list(row) for row in v]
-    for c, mat in zip(coeffs, span):
-        if c:
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    out[i][j] -= c * x
-    return out
+    return [
+        _sym_combination([(1, t)] + [(-row[col], p) for row, p in zip(coeffs, span)], dim)
+        for col, t in enumerate(targets)
+    ]
+
+
+def _off_direction(x, y):
+    """x minus its trace-orthogonal projection onto y (x itself when y is zero)."""
+    yy = _trace_inner(y, y)
+    if not yy:
+        return x
+    f = _trace_inner(x, y) / yy
+    return [[xi - f * yi for xi, yi in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
 def build_perturbation(h: HMatrix, i0: int, j0: int):
     """Exact perturbation direction activating the negative certificate at (i0, j0).
 
-    With the constraint matrices of the method, let U be all monotonicity
-    matrices except the one at (i0, j0), together with the corner
+    With the constraint pairs of the method, let S be all monotonicity
+    constraints except the one at (i0, j0), together with the corner
     normalizer.  The direction is
-        delta = proj_perp(D, span(U + [E])) + proj_perp(E, span(U + [D])),
-    where D and E select the terminal entries.  The kernel structure of the
-    constraint family makes this succeed exactly when the certificate at
+        delta = proj_perp(D, span(S + [E])) + proj_perp(E, span(S + [D])),
+    where D and E select the terminal entries.  Every trace-Gram entry is
+    the rank-2 identity <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p))/2
+    on the pairs, and one elimination of the Gram of S projects D and E
+    together to D' and E'.  Adding the last span member is an exact rank-one
+    update: proj_perp(D, span(S + [E])) = D' - (<D',E'>/<E',E'>) E' (just D'
+    when E' = 0), and symmetrically for E.  Projections are unique, so this
+    equals the dense normal-equation route exactly.  The kernel structure of
+    the constraint family makes this succeed exactly when the certificate at
     (i0, j0) is negative; the five defining trace conditions are re-checked
-    exactly before returning.
+    exactly, as u^T delta v on the pairs, before returning.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -350,26 +425,27 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
         raise ValueError(f"no violation at ({i0},{j0}): certificate is {lam.value(i0, j0)}")
 
     basis = constraint_matrices(h)
-    shared = [mat for key, mat in sorted(basis.a.items()) if key != (i0, j0)]
-    shared += [basis.b[i] for i in range(1, n + 1)]
-    shared.append(basis.c)
-    part1 = _project_off_span(basis.d, shared + [basis.e])
-    part2 = _project_off_span(basis.e, shared + [basis.d])
+    shared = [pair for key, pair in sorted(basis.a_pairs.items()) if key != (i0, j0)]
+    shared += [basis.b_pairs[i] for i in range(1, n + 1)]
+    shared.append(basis.c_pair)
+    d_off, e_off = _project_off_span([basis.d_pair, basis.e_pair], shared, n + 1)
+    part1 = _off_direction(d_off, e_off)
+    part2 = _off_direction(e_off, d_off)
     delta = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
 
-    for key, mat in basis.a.items():
-        tr = _trace_inner(delta, mat)
+    for key, pair in basis.a_pairs.items():
+        tr = _pair_trace(delta, pair)
         if key == (i0, j0):
             if tr <= 0:
                 raise InternalConsistencyError("activated trace is not strictly positive")
         elif tr != 0:
             raise InternalConsistencyError(f"monotonicity trace at {key} not annihilated")
-    for i, mat in basis.b.items():
-        if _trace_inner(delta, mat) != 0:
+    for i, pair in basis.b_pairs.items():
+        if _pair_trace(delta, pair) != 0:
             raise InternalConsistencyError(f"fixed-point trace at {i} not annihilated")
-    if _trace_inner(delta, basis.c) != 0:
+    if _pair_trace(delta, basis.c_pair) != 0:
         raise InternalConsistencyError("corner entry of the direction is nonzero")
-    if _trace_inner(delta, basis.d) <= 0 or _trace_inner(delta, basis.e) <= 0:
+    if _pair_trace(delta, basis.d_pair) <= 0 or _pair_trace(delta, basis.e_pair) <= 0:
         raise InternalConsistencyError("terminal-entry selectors not strictly positive")
     return delta
 

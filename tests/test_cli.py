@@ -143,6 +143,54 @@ def test_simulate_rotation_with_y0_file(tmp_path, capsys):
     assert float(rows[-1][1]) <= float(rows[-1][2]) * (1 + 1e-9)
 
 
+def assert_clean_failure(code, stdout, stderr):
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1
+    assert "Traceback" not in stderr
+
+
+def test_simulate_zero_start_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[0.0, 0.0]")
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
+                                  "--oracle", "rotation:0.3", "--y0", str(y0)))
+
+
+def test_simulate_nonpositive_r_sq_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(4))
+    for value in ("0", "-1", "nan"):
+        assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--oracle", "worstcase",
+                                      "--y0", "worstcase", "--r-sq", value))
+
+
+def test_simulate_wrong_dimension_start_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(4))
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[1.0, 0.5, 0.25]")
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
+                                  "--oracle", "rotation:0.3", "--y0", str(y0)))
+
+
+def test_simulate_negative_steps_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(4))
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--steps", "-1"))
+
+
+def test_sweep_bad_range_fails_before_header(capsys):
+    assert_clean_failure(*run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "1:3"))
+
+
+def test_falsify_readme_example(tmp_path, capsys):
+    dual = write_matrix(tmp_path, "sd.json", H.h_dual(H.strange3()))
+    code, stdout, _ = run_cli(capsys, "falsify", dual, "--pair", "4", "2")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["residual_sq"] == "27453624173/109330649456"
+    assert doc["epsilon"] == "1/128"
+
+
 def test_sweep_csv(capsys):
     code, stdout, _ = run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "2:12")
     assert code == 0

@@ -57,6 +57,30 @@ def test_hmatrix_document_errors():
         ser.hmatrix_from_dict(["not", "an", "object"])
 
 
+def test_hmatrix_document_rejects_non_list_rows():
+    # a string row would otherwise iterate character by character
+    with pytest.raises(ValueError):
+        ser.hmatrix_from_dict({"rows": [["1/2"], "12"]})
+    with pytest.raises(ValueError):
+        ser.hmatrix_from_dict({"rows": [["1/2"], {"a": "1"}]})
+    with pytest.raises(ValueError):
+        ser.hmatrix_from_dict({"rows": "1"})
+
+
+def test_hmatrix_document_rejects_booleans():
+    for doc in (
+        {"rows": [[True]]},
+        {"rows": [["1/2"], ["1/3", False]]},
+        json.loads('{"rows": [[true]]}'),
+        {"n": True, "rows": [["1"]]},
+    ):
+        with pytest.raises(ValueError):
+            ser.hmatrix_from_dict(doc)
+    with pytest.raises(ValueError):
+        ser.parse_rational(True)
+    assert ser.hmatrix_from_dict({"n": 1, "rows": [[1]]}) == H.HMatrix([[1]])
+
+
 def test_qprofile_round_trip():
     rng = random.Random(5)
     for _ in range(8):

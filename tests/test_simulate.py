@@ -68,6 +68,14 @@ def test_linear_oracle_norm_gate():
     assert abs(traj.terminal_residual_sq - exact) <= 1e-9 * exact
 
 
+def test_linear_oracle_rejects_expansive_map_power_iteration_misses():
+    # the all-ones vector spans the kernel of M^T M here, so a power iteration
+    # started from it sees norm 0; the true spectral norm is 2
+    with pytest.raises(ValueError):
+        H.linear_oracle(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    H.linear_oracle(np.array([[0.5, -0.5], [-0.5, 0.5]]))  # norm 1 passes
+
+
 def test_linear_oracle_identity_all_fixed():
     traj = H.run(H.ohm(4), H.linear_oracle(np.eye(3)), np.array([1.0, 2.0, -1.0]))
     assert all(r == 0.0 for r in traj.residuals_sq)

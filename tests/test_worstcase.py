@@ -14,6 +14,7 @@ from hinv.exactlinalg import (
     transpose,
 )
 from hinv.oracles import (
+    perturbation_by_normal_equations,
     random_certificate_violating_h,
     random_h,
     random_invariant_h,
@@ -202,6 +203,37 @@ def test_build_perturbation_conditions():
         assert _trace_inner(delta, mat) == 0
     assert _trace_inner(delta, basis.d) > 0
     assert _trace_inner(delta, basis.e) > 0
+
+
+def test_build_perturbation_equals_dense_normal_equations():
+    # the pair/shared-elimination route and the dense route compute the same
+    # unique projections, so the directions agree exactly, entry by entry
+    rng = random.Random(2024)
+    cases = [H.h_dual(H.strange3())]
+    cases += [random_certificate_violating_h(rng, n) for n in range(4, 9)]
+    for h in cases:
+        pairs = H.certificates(h).negative_pairs()
+        assert pairs
+        for pair in pairs:
+            fast = H.build_perturbation(h, *pair)
+            assert fast == perturbation_by_normal_equations(h, *pair), pair
+
+
+def test_rank2_pair_identities_match_dense_traces():
+    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and <X, sym(uv^T)> = u^T X v
+    from hinv.worstcase import _pair_inner, _pair_trace, _trace_inner
+
+    for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
+        basis = constraint_matrices(h)
+        pairs = list(basis.a_pairs.values()) + list(basis.b_pairs.values())
+        pairs += [basis.c_pair, basis.d_pair, basis.e_pair]
+        mats = list(basis.a.values()) + list(basis.b.values()) + [basis.c, basis.d, basis.e]
+        g0 = H.gram_g0(h)
+        for p, pm in zip(pairs, mats):
+            assert pm == [list(row) for row in zip(*pm)]
+            assert _pair_trace(g0, p) == _trace_inner(g0, pm)
+            for q, qm in zip(pairs, mats):
+                assert _pair_inner(p, q) == _trace_inner(pm, qm)
 
 
 def test_build_perturbation_errors():
