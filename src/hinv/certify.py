@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import HMatrix, _q_table, as_rational, p_invariant
-from .combinatorics import binom
-from .exactlinalg import mat_solve
+from .combinatorics import binom, binomial_congruence
+from .exactlinalg import SingularMatrixError, mat_solve
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INVARIANCE_VIOLATED = "invariance_violated"
@@ -202,6 +202,11 @@ def certificates(h: HMatrix) -> CertificateSet:
 
         lambda*_{N,j} = N sum_m (-1)^(m-1) Q(m, j)
         lambda*_{k,j} = N sum_{l,m} (-1)^(l+m-1) C(l+m, m) Q(l, j) Q(m, k)
+
+    Both are read off one :func:`~hinv.combinatorics.binomial_congruence` C,
+    whose row j = 1..N-1 is Q(m, j) for m = 0..N-j (0 at m = 0) and whose
+    row 0 is the unit vector at m = 0: lambda*_{k,j} = -N C[j][k] for k < N,
+    and lambda*_{N,j} = -N C[0][j].
     """
     report = invariance_report(h)
     if not report.is_invariant():
@@ -211,28 +216,11 @@ def certificates(h: HMatrix) -> CertificateSet:
         return CertificateSet(1, {})
 
     q = _q_table(h, n - 1)
-
-    def qv(m, j):
-        return q.get((m, j), Fraction(0))
-
-    lam = {}
-    for j in range(1, n):
-        acc = Fraction(0)
-        for m in range(1, n - j + 1):
-            acc += (-1) ** (m - 1) * qv(m, j)
-        lam[(n, j)] = n * acc
-    for k in range(2, n):
-        for j in range(1, k):
-            acc = Fraction(0)
-            for ell in range(1, n - j + 1):
-                qlj = qv(ell, j)
-                if not qlj:
-                    continue
-                for m in range(1, n - k + 1):
-                    qmk = qv(m, k)
-                    if qmk:
-                        acc += (-1) ** (ell + m - 1) * binom(ell + m, m) * qlj * qmk
-            lam[(k, j)] = n * acc
+    rows = [[Fraction(1)]] + [
+        [Fraction(0)] + [q[(m, j)] for m in range(1, n - j + 1)] for j in range(1, n)
+    ]
+    c = binomial_congruence(rows)
+    lam = {(k, j): -n * c[j][k if k < n else 0] for k in range(2, n + 1) for j in range(1, k)}
     return CertificateSet(n, lam)
 
 
@@ -268,7 +256,7 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     rhs = [h.column_sum(j, j, n - 1) for j in range(1, n)]
     try:
         top = mat_solve(m_rows, rhs)
-    except Exception as exc:  # cannot happen under invariance; det = D(N) = 1/N
+    except SingularMatrixError as exc:  # cannot happen under invariance; det = D(N) = 1/N
         raise InternalConsistencyError("singular top block despite invariance") from exc
     for j in range(1, n):
         lam[(n, j)] = top[j - 1]

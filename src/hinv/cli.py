@@ -26,7 +26,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -78,11 +77,18 @@ def _write_out(payload: str, path):
                 fh.write("\n")
 
 
+def _read_json(path):
+    """The JSON document in a file; nesting too deep to parse is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep") from None
+
+
 def _load_hmatrix(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return serialization.hmatrix_from_dict(data)
+        return serialization.hmatrix_from_dict(_read_json(path))
     except (OSError, ValueError, TypeError) as exc:
         _say(f"cannot read step matrix from {path}: {exc}", "red")
         raise SystemExit(EXIT_MALFORMED)
@@ -183,9 +189,7 @@ def _oracle_from_spec(spec, dim):
     if spec.startswith("rotation:"):
         return simulate.rotation_oracle(float(spec.split(":", 1)[1]))
     if spec.startswith("matrix:"):
-        with open(spec.split(":", 1)[1], encoding="utf-8") as fh:
-            m = np.array(json.load(fh), dtype=float)
-        return simulate.linear_oracle(m)
+        return simulate.linear_oracle(np.array(_read_json(spec.split(":", 1)[1]), dtype=float))
     raise ValueError(f"unknown oracle spec {spec!r}")
 
 
@@ -205,13 +209,13 @@ def cmd_simulate(args):
                 raise ValueError("--y0 worstcase only pairs with --oracle worstcase")
             y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq is not None else 1.0)
         else:
-            with open(args.y0, encoding="utf-8") as fh:
-                y0 = np.array(json.load(fh), dtype=float)
-        r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
+            y0 = np.array(_read_json(args.y0), dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is reported below as a non-finite start
+            r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
         if not 0 < r_sq < math.inf:
             raise ValueError("--y0 must be finite and nonzero (|y0|^2 is the default --r-sq)")
         traj = simulate.run(h, oracle, y0, r_sq=r_sq)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         _say(f"simulate: {exc}", "red")
         return EXIT_MALFORMED
     print("k,residual_sq,bound_sq,ratio")
@@ -267,9 +271,8 @@ def cmd_sweep(args):
         _say(f"sweep: {exc}", "red")
         return EXIT_MALFORMED
     print("family,n,n_prime,status,min_lambda,max_residual")
-    with ThreadPoolExecutor() as pool:
-        for row in pool.map(lambda cell: _sweep_cell(*cell), cells):
-            print(",".join(row))
+    for cell in cells:
+        print(",".join(_sweep_cell(*cell)))
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Everything operates on lists of lists of ``fractions.Fraction`` and is sized
 for the modest dimensions this package needs (a few dozen rows at most), so
-plain Gaussian elimination is used throughout; the rank-revealing solvers
-(`solve_consistent`, `mat_nullspace`) eliminate fraction-free over the
+plain Gaussian elimination is used throughout; the solvers (`mat_solve`,
+`solve_consistent`, `mat_nullspace`) eliminate fraction-free over the
 integers.  No floating point enters anywhere in this module.
 """
 
@@ -17,14 +17,6 @@ class SingularMatrixError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """Linear system that admits no solution at all."""
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a):
-    return [[Fraction(x) for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -53,7 +45,7 @@ def mat_det(a) -> Fraction:
     n = len(a)
     if n == 0:
         return Fraction(1)
-    a = mat_copy(a)
+    a = [[Fraction(x) for x in row] for row in a]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -75,25 +67,6 @@ def leading_principal_minors(a):
     """Determinants of the k-by-k upper-left blocks, k = 1..n."""
     n = len(a)
     return [mat_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
-
-
-def mat_solve(a, b):
-    """Unique solution of a square system, or SingularMatrixError."""
-    n = len(a)
-    aug = [list(row) + [Fraction(rhs)] for row, rhs in zip(mat_copy(a), b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col + 1}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n] for row in aug]
 
 
 def _integer_echelon(rows, cols):
@@ -152,6 +125,15 @@ def _back_substitute(ech, pivots, cols, rhs_columns):
     return solutions
 
 
+def mat_solve(a, b):
+    """Unique solution of a square system, or SingularMatrixError."""
+    n = len(a)
+    ech, pivots = _integer_echelon([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
+    return _back_substitute(ech, pivots, n, [[row[n] for row in ech]])[0]
+
+
 def solve_consistent(a, b):
     """One solution of a (possibly rank-deficient) consistent system.
 
@@ -186,16 +168,3 @@ def mat_nullspace(a):
     for vec, f in zip(basis, frees):
         vec[f] = Fraction(1)
     return basis
-
-
-def mat_adjugate(a):
-    """Adjugate (transpose of the cofactor matrix), by exact cofactors."""
-    n = len(a)
-    if n == 1:
-        return [[Fraction(1)]]
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
-            adj[j][i] = (-1) ** (i + j) * mat_det(minor)
-    return adj

@@ -122,23 +122,20 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
 
 
 # ---------------------------------------------------------------------------
-# Witness direction by dense normal equations.
+# Dense interpolation constraints, and the witness direction from them.
 
 
 def _dense_trace_inner(x, y):
     return sum((a * b for rx, ry in zip(x, y) for a, b in zip(rx, ry) if a and b), Fraction(0))
 
 
-def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
-    """The direction of :func:`hinv.worstcase.build_perturbation`, by the dense route.
+def dense_constraints(h: HMatrix):
+    """The constraints of :func:`hinv.worstcase.constraint_matrices` as dense matrices.
 
-    Writes every constraint as a dense (N+1)x(N+1) matrix entrywise from the
-    iterate coordinates, then projects each terminal selector separately
-    off the span of all other constraints (the monotonicity matrices except
-    (i0, j0), the fixed-point matrices, the corner and the other selector)
-    by its own normal-equation solve on the dense trace-Gram matrix.  No
-    vector pairs, no shared elimination, no rank-one update.  Performs no
-    certificate or trace checks; the caller picks a negative pair.
+    Written entrywise from the iterate coordinates, sharing no code with
+    the pair route.  Returns (a, b, c, d, e): the monotonicity matrices
+    keyed (i, j), the fixed-point matrices keyed i, the corner normalizer
+    and the two terminal-entry selectors.
     """
     n = h.n
     dim = n + 1
@@ -152,22 +149,36 @@ def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
     def unit(i):
         return [Fraction(int(r == i - 1)) for r in range(dim)]
 
-    span = [
-        sym_outer([a - b for a, b in zip(xs[i], xs[j])], [a - b for a, b in zip(unit(i), unit(j))])
+    a = {
+        (i, j): sym_outer([p - q for p, q in zip(xs[i], xs[j])], [p - q for p, q in zip(unit(i), unit(j))])
         for i in range(2, n + 1)
         for j in range(1, i)
-        if (i, j) != (i0, j0)
-    ]
-    span += [sym_outer(xs[i], unit(i)) for i in range(1, n + 1)]
-    corner = [[Fraction(0)] * dim for _ in range(dim)]
-    corner[n][n] = Fraction(1)
-    span.append(corner)
+    }
+    b = {i: sym_outer(xs[i], unit(i)) for i in range(1, n + 1)}
+    c = [[Fraction(0)] * dim for _ in range(dim)]
+    c[n][n] = Fraction(1)
     d = [[Fraction(0)] * dim for _ in range(dim)]
     d[n - 1][n - 1] = Fraction(1)
     d[n - 1][n] = d[n][n - 1] = Fraction(-1, n)
     e = [[Fraction(0)] * dim for _ in range(dim)]
     e[n - 1][n - 1] = Fraction(1)
-    members = span + [d, e]
+    return a, b, c, d, e
+
+
+def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
+    """The direction of :func:`hinv.worstcase.build_perturbation`, by the dense route.
+
+    Projects each terminal selector of :func:`dense_constraints` separately
+    off the span of all other constraints (the monotonicity matrices except (i0, j0), the
+    fixed-point matrices, the corner and the other selector) by its own
+    normal-equation solve on the dense trace-Gram matrix.  No vector pairs,
+    no shared elimination, no rank-one update.  Performs no certificate or
+    trace checks; the caller picks a negative pair.
+    """
+    n = h.n
+    a, b, corner, d, e = dense_constraints(h)
+    members = [m for key, m in a.items() if key != (i0, j0)]
+    members += [b[i] for i in range(1, n + 1)] + [corner, d, e]
     gram = [[Fraction(0)] * len(members) for _ in members]
     for r, x in enumerate(members):
         for c, y in enumerate(members[: r + 1]):

@@ -21,7 +21,6 @@ from .algebra import HMatrix, QProfile
 from .certify import (
     STATUS_INVARIANCE_VIOLATED,
     STATUS_OPTIMAL,
-    CertificateSet,
     Verdict,
 )
 from .worstcase import GramWitness
@@ -59,7 +58,9 @@ def hmatrix_from_dict(data) -> HMatrix:
         raise ValueError("'rows' must be a list of lists")
     h = HMatrix([[parse_rational(x) for x in row] for row in rows])
     declared = data.get("n")
-    if declared is not None and (isinstance(declared, bool) or declared != h.n_minus_1):
+    if declared is not None and type(declared) is not int:
+        raise ValueError(f"declared dimension must be an integer, got {declared!r}")
+    if declared is not None and declared != h.n_minus_1:
         raise ValueError(f"declared dimension {declared} does not match {h.n_minus_1} rows")
     return h
 
@@ -121,10 +122,6 @@ def witness_to_dict(w: GramWitness) -> dict:
     }
 
 
-def certificate_set_to_dict(lam: CertificateSet) -> dict:
-    return {_pair_key(k, j): format_rational(v) for (k, j), v in lam.items()}
-
-
 __all__ = [
     "format_rational",
     "parse_rational",
@@ -134,7 +131,6 @@ __all__ = [
     "qprofile_from_dict",
     "verdict_to_dict",
     "witness_to_dict",
-    "certificate_set_to_dict",
     "STATUS_OPTIMAL",
     "STATUS_INVARIANCE_VIOLATED",
 ]

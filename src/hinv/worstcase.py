@@ -26,6 +26,7 @@ norms and inner products are ever compared, with the scalar r_sq/N carried
 symbolically.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +34,8 @@ import numpy as np
 
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
-from .combinatorics import binom
-from .exactlinalg import leading_principal_minors, mat_adjugate, solve_consistent
+from .combinatorics import binom, binomial_congruence
+from .exactlinalg import leading_principal_minors, mat_det, solve_consistent
 
 
 @dataclass(frozen=True)
@@ -163,29 +164,14 @@ def gram_g0(h: HMatrix):
     Row/column i <= N holds the pairwise products of the resolvent
     increments,
         (G0)_{i,j} = (1/N) sum_{m,n} (-1)^(m+n) C(m+n, m) P(i-1, m) P(j-1, n),
+    one :func:`~hinv.combinatorics.binomial_congruence` of the rows P(t, .);
     the border holds their products with y_0 - y_star (all equal to 1/N),
     and the corner is 1.  Returned as an (N+1)x(N+1) list of lists.
     """
     n = h.n
-    p = _p_table(h, n - 1)
-    gram = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        pi = p[i - 1]
-        for j in range(1, i + 1):
-            pj = p[j - 1]
-            acc = Fraction(0)
-            for m in range(i):
-                if not pi[m]:
-                    continue
-                for nn in range(j):
-                    if pj[nn]:
-                        acc += (-1) ** (m + nn) * binom(m + nn, m) * pi[m] * pj[nn]
-            gram[i - 1][j - 1] = acc / n
-            gram[j - 1][i - 1] = gram[i - 1][j - 1]
-    for i in range(n):
-        gram[i][n] = Fraction(1, n)
-        gram[n][i] = Fraction(1, n)
-    gram[n][n] = Fraction(1)
+    border = Fraction(1, n)
+    gram = [[x / n for x in row] + [border] for row in binomial_congruence(_p_table(h, n - 1))]
+    gram.append([border] * n + [Fraction(1)])
     return gram
 
 
@@ -208,8 +194,8 @@ class ConstraintBasis:
     selectors used by the perturbation construction.  For a symmetric X the
     trace of X against sym(u v^T) is u^T X v, and two constraints meet in
         <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p)) / 2,
-    so nothing downstream needs the dense matrices; the properties ``a``,
-    ``b``, ``c``, ``d``, ``e`` expand them on each access.
+    so nothing here needs the dense matrices.  The entrywise dense
+    reference is :func:`hinv.oracles.dense_constraints`.
     """
 
     n: int
@@ -218,29 +204,6 @@ class ConstraintBasis:
     c_pair: tuple
     d_pair: tuple
     e_pair: tuple
-
-    def _matrix(self, pair):
-        return _sym_combination([(1, pair)], self.n + 1)
-
-    @property
-    def a(self):
-        return {key: self._matrix(pair) for key, pair in self.a_pairs.items()}
-
-    @property
-    def b(self):
-        return {key: self._matrix(pair) for key, pair in self.b_pairs.items()}
-
-    @property
-    def c(self):
-        return self._matrix(self.c_pair)
-
-    @property
-    def d(self):
-        return self._matrix(self.d_pair)
-
-    @property
-    def e(self):
-        return self._matrix(self.e_pair)
 
 
 def _dot(u, v):
@@ -313,14 +276,6 @@ def constraint_matrices(h: HMatrix) -> ConstraintBasis:
     )
 
 
-def _trace_inner(x, y):
-    """Trace inner product of two symmetric matrices."""
-    return sum(
-        (xi * yi for rx, ry in zip(x, y) for xi, yi in zip(rx, ry)),
-        Fraction(0),
-    )
-
-
 def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
     """Every interpolation trace of a Gram matrix against a method's constraints."""
     n = h.n
@@ -344,59 +299,46 @@ def adjugate_spotcheck(h: HMatrix) -> bool:
     2x2 block, with
         adj[N][N]   =  (prod_i h_{i,i}^(2(N-i))) / N^(N-2),
         adj[N][N+1] = -(prod_i h_{i,i}^(2(N-i))) / N^(N-1).
-    Returns False on any mismatch (which would indicate a bug, not bad
-    input).  Refuses non-invariant matrices.
+    Checked with one determinant: G0 z = 0 for z = e_N - e_{N+1}/N, and the
+    (N, N) cofactor equals the nonzero first closed form.  Then G0 has rank
+    N and kernel z, so adj(G0) = (that cofactor) z z^T, which is the shape
+    above.  Returns False on any mismatch (which would indicate a bug, not
+    bad input).  Refuses non-invariant matrices.
     """
     report = invariance_report(h)
     if not report.is_invariant():
         raise InvarianceError(report)
     n = h.n
-    adj = mat_adjugate(gram_g0(h))
-    prod = Fraction(1)
-    for i in range(1, n):
-        prod *= h.entry(i, i) ** (2 * (n - i))
-    expected_corner = prod / Fraction(n ** (n - 2))
-    expected_off = -prod / Fraction(n ** (n - 1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i < n - 1 or j < n - 1:
-                if adj[i][j] != 0:
-                    return False
-    return (
-        adj[n - 1][n - 1] == expected_corner
-        and adj[n - 1][n] == expected_off
-        and adj[n][n - 1] == expected_off
-    )
+    g0 = gram_g0(h)
+    if any(row[n - 1] - row[n] / n for row in g0):
+        return False
+    prod = math.prod(h.entry(i, i) ** (2 * (n - i)) for i in range(1, n))
+    minor = [row[: n - 1] + row[n:] for r, row in enumerate(g0) if r != n - 1]
+    return prod != 0 and mat_det(minor) == prod / Fraction(n ** (n - 2))
 
 
-def _project_off_span(targets, span, dim):
-    """Each target minus its trace-orthogonal projection onto the span.
+def _project_off_span(targets, span):
+    """Project each target off the span: coefficients, and the projected targets' inner products.
 
     Targets and span members are constraint pairs.  The span's trace-Gram
     matrix comes from vector dot products and is reduced once, by exact
     normal equations with one right-hand side per target; the spanning set
     may be linearly dependent (free coefficients are taken as zero).
-    Returns one dense symmetric matrix per target.
+    Returns (coeffs, inner): the coefficient vector c_t of each target, so
+    T' = T - sum_p c_t[p] p, and inner[s][t] = <T'_s, T'_t>, which equals
+    <T_s, T_t> - c_s . <span, T_t> because T'_s is orthogonal to the span.
     """
     gram = [[Fraction(0)] * len(span) for _ in span]
     for k, p in enumerate(span):
         for m, q in enumerate(span[: k + 1]):
             gram[k][m] = gram[m][k] = _pair_inner(p, q)
     rhs = [[_pair_inner(p, t) for t in targets] for p in span]
-    coeffs = solve_consistent(gram, rhs)
-    return [
-        _sym_combination([(1, t)] + [(-row[col], p) for row, p in zip(coeffs, span)], dim)
-        for col, t in enumerate(targets)
+    coeffs = list(zip(*solve_consistent(gram, rhs)))
+    inner = [
+        [_pair_inner(s, t) - _dot(c, r) for t, r in zip(targets, zip(*rhs))]
+        for s, c in zip(targets, coeffs)
     ]
-
-
-def _off_direction(x, y):
-    """x minus its trace-orthogonal projection onto y (x itself when y is zero)."""
-    yy = _trace_inner(y, y)
-    if not yy:
-        return x
-    f = _trace_inner(x, y) / yy
-    return [[xi - f * yi for xi, yi in zip(rx, ry)] for rx, ry in zip(x, y)]
+    return coeffs, inner
 
 
 def build_perturbation(h: HMatrix, i0: int, j0: int):
@@ -409,13 +351,15 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     where D and E select the terminal entries.  Every trace-Gram entry is
     the rank-2 identity <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p))/2
     on the pairs, and one elimination of the Gram of S projects D and E
-    together to D' and E'.  Adding the last span member is an exact rank-one
-    update: proj_perp(D, span(S + [E])) = D' - (<D',E'>/<E',E'>) E' (just D'
-    when E' = 0), and symmetrically for E.  Projections are unique, so this
-    equals the dense normal-equation route exactly.  The kernel structure of
-    the constraint family makes this succeed exactly when the certificate at
-    (i0, j0) is negative; the five defining trace conditions are re-checked
-    exactly, as u^T delta v on the pairs, before returning.
+    together to D' and E'.  Adding the last span member is an exact
+    rank-one update: proj_perp(D, span(S + [E])) = D' - f E' with
+    f = <D',E'>/<E',E'> (f = 0 when E' = 0), and symmetrically E' - g D';
+    the sum (1 - g) D' + (1 - f) E' is built densely once, from D, E and S.
+    Projections are unique, so this equals the dense normal-equation route
+    exactly.  The kernel structure of the constraint family makes this
+    succeed exactly when the certificate at (i0, j0) is negative; the five
+    defining trace conditions are re-checked exactly, as u^T delta v on the
+    pairs, before returning.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -428,10 +372,14 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     shared = [pair for key, pair in sorted(basis.a_pairs.items()) if key != (i0, j0)]
     shared += [basis.b_pairs[i] for i in range(1, n + 1)]
     shared.append(basis.c_pair)
-    d_off, e_off = _project_off_span([basis.d_pair, basis.e_pair], shared, n + 1)
-    part1 = _off_direction(d_off, e_off)
-    part2 = _off_direction(e_off, d_off)
-    delta = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
+    (cd, ce), ((dd, de), (_, ee)) = _project_off_span([basis.d_pair, basis.e_pair], shared)
+    wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
+    we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
+    delta = _sym_combination(
+        [(wd, basis.d_pair), (we, basis.e_pair)]
+        + [(-wd * x - we * y, p) for x, y, p in zip(cd, ce, shared)],
+        n + 1,
+    )
 
     for key, pair in basis.a_pairs.items():
         tr = _pair_trace(delta, pair)

@@ -17,7 +17,7 @@ import pytest
 
 import hinv as H
 from hinv.combinatorics import binom
-from hinv.exactlinalg import leading_principal_minors, mat_adjugate, mat_det
+from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
     check_binomial_sum_identities,
     check_hockey_stick,

@@ -224,3 +224,19 @@ def test_verdict_soundness_hook(catalog8):
     violated = H.h_dual(H.strange3())
     w = H.suboptimality_witness(violated)
     assert w.residual_sq > F(4, violated.n ** 2)
+
+
+def test_certify_name_binds_function_module_stays_importable():
+    # the package attribute hinv.certify is the function; the module stays
+    # reachable through sys.modules, which from-imports and import_module use
+    import importlib
+    import types
+
+    import hinv.certify as bound
+    from hinv.certify import certificates, invariance_report
+
+    module = importlib.import_module("hinv.certify")
+    assert bound is H.certify and callable(bound)
+    assert isinstance(module, types.ModuleType)
+    assert module.certify is H.certify
+    assert module.certificates is certificates and module.invariance_report is invariance_report

@@ -240,3 +240,29 @@ def test_matrix_oracle_spec(tmp_path, capsys):
                               "--oracle", f"matrix:{mfile}", "--y0", str(y0))
     assert code == 0
     assert len(stdout.strip().splitlines()) == 4
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[0.5, 0.5]")
+    assert_clean_failure(*run_cli(capsys, "certify", str(deep)))
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", str(deep)))
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--oracle", "rotation:0.5",
+                                  "--y0", str(deep)))
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
+                                  "--oracle", f"matrix:{deep}", "--y0", str(y0)))
+
+
+def test_simulate_rejects_integers_beyond_float_range(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    huge = tmp_path / "huge.json"
+    huge.write_text(f"[{10 ** 400}, 1]")
+    ok = tmp_path / "ok.json"
+    ok.write_text("[0.5, 0.5]")
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--oracle", "rotation:0.5",
+                                  "--y0", str(huge)))
+    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
+                                  "--oracle", f"matrix:{huge}", "--y0", str(ok)))

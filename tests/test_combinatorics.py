@@ -1,6 +1,7 @@
 import math
+from fractions import Fraction as F
 
-from hinv.combinatorics import binom
+from hinv.combinatorics import binom, binomial_congruence
 from hinv.oracles import (
     check_binomial_sum_identities,
     check_hockey_stick,
@@ -41,3 +42,25 @@ def test_hockey_stick_sweep():
 
 def test_binomial_sum_identities_sweep():
     assert check_binomial_sum_identities(20) == []
+
+
+def test_binomial_congruence_matches_double_sum():
+    # ragged rows with zero and negative entries, against the literal double sum
+    rows = [
+        [F(1)],
+        [F(0), F(-2, 3), F(5)],
+        [],
+        [F(3, 7), F(0), F(0), F(-1)],
+        [F(-4), F(1, 2)],
+        [F(0), F(0)],
+    ]
+    got = binomial_congruence(rows)
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            want = sum(
+                (x * (-1) ** (m + n) * binom(m + n, m) * y
+                 for m, x in enumerate(ra) for n, y in enumerate(rb)),
+                F(0),
+            )
+            assert got[a][b] == want, (a, b)
+    assert binomial_congruence([]) == []

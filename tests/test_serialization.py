@@ -55,6 +55,9 @@ def test_hmatrix_document_errors():
         ser.hmatrix_from_dict({"rows": [["0.5"]]})  # float string
     with pytest.raises(ValueError):
         ser.hmatrix_from_dict(["not", "an", "object"])
+    for declared in (1.0, "1", [1]):  # the declared dimension must be a JSON integer
+        with pytest.raises(ValueError):
+            ser.hmatrix_from_dict({"n": declared, "rows": [["1/2"]]})
 
 
 def test_hmatrix_document_rejects_non_list_rows():

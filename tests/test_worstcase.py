@@ -14,6 +14,8 @@ from hinv.exactlinalg import (
     transpose,
 )
 from hinv.oracles import (
+    _dense_trace_inner,
+    dense_constraints,
     perturbation_by_normal_equations,
     random_certificate_violating_h,
     random_h,
@@ -153,8 +155,28 @@ def test_interpolation_traces_dimension_check():
 
 def test_adjugate_spotcheck(catalog8):
     for label, h in catalog8:
-        if h.n <= 6:  # keep the exact cofactor work modest
-            assert H.adjugate_spotcheck(h), label
+        assert H.adjugate_spotcheck(h), label
+
+
+def test_adjugate_spotcheck_rejects_perturbed_gram(monkeypatch):
+    # one perturbation breaks G0 z = 0, the other only the (N, N) cofactor
+    import hinv.worstcase as wc
+
+    h = H.self_dual_mixed(6, 3)
+    n = h.n
+    exact = wc.gram_g0
+    for i, j in ((0, n), (0, 0)):
+
+        def perturbed(h, i=i, j=j):
+            g0 = exact(h)
+            g0[i][j] += F(1, 7)
+            g0[j][i] = g0[i][j]
+            return g0
+
+        monkeypatch.setattr(wc, "gram_g0", perturbed)
+        assert not H.adjugate_spotcheck(h), (i, j)
+    monkeypatch.setattr(wc, "gram_g0", exact)
+    assert H.adjugate_spotcheck(h)
 
 
 def test_adjugate_spotcheck_refuses_noninvariant():
@@ -171,7 +193,7 @@ def test_constraint_family_kernel_identity():
     for h in cases:
         n = h.n
         lam = H.certificates(h)
-        basis = constraint_matrices(h)
+        a, b, _, d, e = dense_constraints(h)
         acc = [[F(0)] * (n + 1) for _ in range(n + 1)]
 
         def add(mat, c):
@@ -179,11 +201,11 @@ def test_constraint_family_kernel_identity():
                 for b_ in range(n + 1):
                     acc[a][b_] += c * mat[a][b_]
 
-        for (i, j), mat in basis.a.items():
+        for (i, j), mat in a.items():
             add(mat, lam.value(i, j))
-        add(basis.b[n], F(1))
-        add(basis.d, F(n, 2))
-        add(basis.e, F(n, 2))
+        add(b[n], F(1))
+        add(d, F(n, 2))
+        add(e, F(n, 2))
         assert all(x == 0 for row in acc for x in row)
 
 
@@ -193,16 +215,15 @@ def test_build_perturbation_conditions():
     n = h.n
     assert delta[n][n] == 0
     assert delta[n - 1][n - 1] - F(2, n) * delta[n - 1][n] > 0
-    basis = constraint_matrices(h)
-    from hinv.worstcase import _trace_inner
-
-    for key, mat in basis.a.items():
-        tr = _trace_inner(delta, mat)
+    a, b, c, d, e = dense_constraints(h)
+    for key, mat in a.items():
+        tr = _dense_trace_inner(delta, mat)
         assert (tr > 0) if key == (4, 2) else (tr == 0), key
-    for i, mat in basis.b.items():
-        assert _trace_inner(delta, mat) == 0
-    assert _trace_inner(delta, basis.d) > 0
-    assert _trace_inner(delta, basis.e) > 0
+    for i, mat in b.items():
+        assert _dense_trace_inner(delta, mat) == 0
+    assert _dense_trace_inner(delta, c) == 0
+    assert _dense_trace_inner(delta, d) > 0
+    assert _dense_trace_inner(delta, e) > 0
 
 
 def test_build_perturbation_equals_dense_normal_equations():
@@ -220,20 +241,24 @@ def test_build_perturbation_equals_dense_normal_equations():
 
 
 def test_rank2_pair_identities_match_dense_traces():
-    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and <X, sym(uv^T)> = u^T X v
-    from hinv.worstcase import _pair_inner, _pair_trace, _trace_inner
+    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and <X, sym(uv^T)> = u^T X v,
+    # against the entrywise dense constraints of the oracle
+    from hinv.worstcase import _pair_inner, _pair_trace, _sym_combination
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         basis = constraint_matrices(h)
-        pairs = list(basis.a_pairs.values()) + list(basis.b_pairs.values())
+        a, b, c, d, e = dense_constraints(h)
+        assert a.keys() == basis.a_pairs.keys() and b.keys() == basis.b_pairs.keys()
+        pairs = [basis.a_pairs[k] for k in a] + [basis.b_pairs[i] for i in b]
         pairs += [basis.c_pair, basis.d_pair, basis.e_pair]
-        mats = list(basis.a.values()) + list(basis.b.values()) + [basis.c, basis.d, basis.e]
+        mats = list(a.values()) + list(b.values()) + [c, d, e]
         g0 = H.gram_g0(h)
         for p, pm in zip(pairs, mats):
             assert pm == [list(row) for row in zip(*pm)]
-            assert _pair_trace(g0, p) == _trace_inner(g0, pm)
+            assert _sym_combination([(1, p)], h.n + 1) == pm
+            assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
             for q, qm in zip(pairs, mats):
-                assert _pair_inner(p, q) == _trace_inner(pm, qm)
+                assert _pair_inner(p, q) == _dense_trace_inner(pm, qm)
 
 
 def test_build_perturbation_errors():
