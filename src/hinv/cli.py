@@ -165,12 +165,11 @@ def cmd_falsify(args):
         _say("invariance already violated: the cyclic operator exceeds the bound "
              f"by {payload['excess']}; no perturbation needed", "yellow")
         return EXIT_FALSIFY_INVARIANCE
-    pair = tuple(args.pair) if args.pair else None
+    # verdict.negative is sorted, so its first pair is suboptimality_witness's
+    # default; passing it spares that function a second certification.
+    i0, j0 = args.pair if args.pair else verdict.negative[0]
     try:
-        if pair is not None:
-            witness = worstcase.suboptimality_witness(h, pair[0], pair[1])
-        else:
-            witness = worstcase.suboptimality_witness(h)
+        witness = worstcase.suboptimality_witness(h, i0, j0)
     except ValueError as exc:
         _say(f"falsify: {exc}", "red")
         return EXIT_MALFORMED
@@ -339,8 +338,9 @@ def _oracle_check_report(seed, n_max, inject_bug=False):
 
 
 def cmd_oracle_check(args):
-    if args.n_max > 8:
-        _say("--n-max is capped at 8 (enumeration cost)", "red")
+    if not 3 <= args.n_max <= 8:
+        _say("--n-max must be in 3..8 (the certificate checks start at horizon 3; "
+             "enumeration cost caps it at 8)", "red")
         return EXIT_MALFORMED
     lines, counterexample = _oracle_check_report(args.seed, args.n_max, args.inject_bug)
     for line in lines:
@@ -405,7 +405,7 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="run the slow-path oracles against the library")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=int, default=6, help="largest horizon checked, 3..8")
     p.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -2,9 +2,10 @@
 
 Everything operates on lists of lists of ``fractions.Fraction`` and is sized
 for the modest dimensions this package needs (a few dozen rows at most), so
-plain Gaussian elimination is used throughout; the solvers (`mat_solve`,
-`solve_consistent`, `mat_nullspace`) eliminate fraction-free over the
-integers.  No floating point enters anywhere in this module.
+plain Gaussian elimination is used throughout.  The determinant
+(`mat_det`, and through it `leading_principal_minors`) and the solvers
+(`mat_solve`, `solve_consistent`, `mat_nullspace`) eliminate fraction-free
+over the integers.  No floating point enters anywhere in this module.
 """
 
 import math
@@ -42,25 +43,38 @@ def transpose(a):
 
 
 def mat_det(a) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination over the integers.
+
+    Rows are scaled to integers by the lcm of their denominators.  Each
+    step replaces an entry by (p * a - f * b) // previous pivot, an exact
+    division, and the last pivot is the integer determinant up to the sign
+    of the row swaps; dividing by the row scales gives the result.
+    """
     n = len(a)
     if n == 0:
         return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    rows = []
+    scale = 1
+    for row in a:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    sign = prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        prow = rows[col][col + 1:]
+        p = rows[col][col]
         for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            f = rows[r][col]
+            rows[r][col + 1:] = [(p * x - f * y) // prev for x, y in zip(rows[r][col + 1:], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def leading_principal_minors(a):

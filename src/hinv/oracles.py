@@ -11,6 +11,7 @@ Seeded random generators for step matrices (arbitrary, invariant, and
 certificate-violating) live here too, shared between tests and the CLI.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -119,6 +120,23 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
         for j in range(1, k):
             table[(k, j)] = raw[k][j] + raw[j][k]
     return table
+
+
+# ---------------------------------------------------------------------------
+# Determinants by the Leibniz expansion.
+
+
+def det_by_permutations(a) -> Fraction:
+    """Determinant as the signed sum over all permutations of products of entries."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in zip(a, perm):
+            term *= row[col]
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ symbolically.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,10 +226,34 @@ def _sym_combination(terms, dim):
     return [[(m[i][j] + m[j][i]) / 2 for j in range(dim)] for i in range(dim)]
 
 
-def _pair_inner(p, q):
-    """Trace inner product of sym(u v^T) and sym(s t^T) for pairs p = (u, v), q = (s, t)."""
-    (u, v), (s, t) = p, q
-    return (_dot(u, s) * _dot(v, t) + _dot(u, t) * _dot(v, s)) / 2
+def _integer_pairs(pairs):
+    """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
+
+    Returns (2 L^4, scaled pairs (U, V, nonzero entries of V)); every v has
+    at most two nonzero entries.  2 L^4 <sym(u v^T), sym(p q^T)> is then the
+    integer :func:`_integer_pair_inner` of the scaled pairs.
+    """
+    scale = math.lcm(*(x.denominator for pair in pairs for vec in pair for x in vec))
+
+    def ints(vec):
+        return [x.numerator * (scale // x.denominator) for x in vec]
+
+    scaled = []
+    for u, v in pairs:
+        v = ints(v)
+        scaled.append((ints(u), v, [(i, x) for i, x in enumerate(v) if x]))
+    return 2 * scale ** 4, scaled
+
+
+def _integer_pair_inner(p, q):
+    """(U.S)(V.T) + (U.T)(V.S) for scaled pairs p = (U, V, ...) and q = (S, T, ...)."""
+    u, v, v_nz = p
+    s, t, t_nz = q
+    us = sum(map(operator.mul, u, s))
+    vt = sum(v[i] * x for i, x in t_nz)
+    ut = sum(u[i] * x for i, x in t_nz)
+    vs = sum(s[i] * x for i, x in v_nz)
+    return us * vt + ut * vs
 
 
 def _pair_trace(x, pair):
@@ -321,21 +346,26 @@ def _project_off_span(targets, span):
     """Project each target off the span: coefficients, and the projected targets' inner products.
 
     Targets and span members are constraint pairs.  The span's trace-Gram
-    matrix comes from vector dot products and is reduced once, by exact
-    normal equations with one right-hand side per target; the spanning set
-    may be linearly dependent (free coefficients are taken as zero).
+    matrix comes from integer dot products: after one common scaling by L
+    (:func:`_integer_pairs`) each entry is 2 L^4 times the trace inner
+    product, which leaves the solution of the normal equations unchanged.
+    They are reduced once, with one right-hand side per target; the
+    spanning set may be linearly dependent (free coefficients are zero).
     Returns (coeffs, inner): the coefficient vector c_t of each target, so
     T' = T - sum_p c_t[p] p, and inner[s][t] = <T'_s, T'_t>, which equals
-    <T_s, T_t> - c_s . <span, T_t> because T'_s is orthogonal to the span.
+    <T_s, T_t> - c_s . <span, T_t> because T'_s is orthogonal to the span;
+    it is computed on the scaled integers and divided by 2 L^4.
     """
-    gram = [[Fraction(0)] * len(span) for _ in span]
+    scale, scaled = _integer_pairs(targets + span)
+    targets, span = scaled[: len(targets)], scaled[len(targets):]
+    gram = [[0] * len(span) for _ in span]
     for k, p in enumerate(span):
         for m, q in enumerate(span[: k + 1]):
-            gram[k][m] = gram[m][k] = _pair_inner(p, q)
-    rhs = [[_pair_inner(p, t) for t in targets] for p in span]
+            gram[k][m] = gram[m][k] = _integer_pair_inner(p, q)
+    rhs = [[_integer_pair_inner(p, t) for t in targets] for p in span]
     coeffs = list(zip(*solve_consistent(gram, rhs)))
     inner = [
-        [_pair_inner(s, t) - _dot(c, r) for t, r in zip(targets, zip(*rhs))]
+        [(_integer_pair_inner(s, t) - _dot(c, r)) / scale for t, r in zip(targets, zip(*rhs))]
         for s, c in zip(targets, coeffs)
     ]
     return coeffs, inner

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import hinv as H
 from hinv import serialization as ser
 from hinv.cli import main
+from hinv.oracles import random_certificate_violating_h
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +97,20 @@ def test_falsify_witness(tmp_path, capsys):
     assert doc["violated_pair"] == [4, 2]
     assert ser.parse_rational(doc["residual_sq"]) > F(1, 4)
     assert len(doc["vectors"]) == 5
+
+
+def test_falsify_default_pair_is_smallest_negative(tmp_path, capsys):
+    # without --pair the witness is the one for the lexicographically smallest negative pair
+    cases = [H.h_dual(H.strange3()), random_certificate_violating_h(random.Random(41), 6)]
+    for k, h in enumerate(cases):
+        path = write_matrix(tmp_path, f"v{k}.json", h)
+        i, j = H.certificates(h).negative_pairs()[0]
+        code, default_out, _ = run_cli(capsys, "falsify", path)
+        assert code == 0
+        code, pinned_out, _ = run_cli(capsys, "falsify", path, "--pair", str(i), str(j))
+        assert code == 0
+        assert default_out == pinned_out
+        assert json.loads(default_out)["violated_pair"] == [i, j]
 
 
 def test_falsify_on_optimal_input(tmp_path, capsys):
@@ -228,6 +244,12 @@ def test_oracle_check_injected_bug(capsys):
 
 def test_oracle_check_caps_n_max(capsys):
     assert run_cli(capsys, "oracle-check", "--seed", "1", "--n-max", "9")[0] == 1
+
+
+def test_oracle_check_rejects_n_max_below_three(capsys):
+    # below horizon 3 the certificate checks would run on no matrix and still print PASS
+    for n_max in ("2", "0", "-3"):
+        assert_clean_failure(*run_cli(capsys, "oracle-check", "--seed", "1", "--n-max", n_max))
 
 
 def test_matrix_oracle_spec(tmp_path, capsys):

@@ -241,9 +241,10 @@ def test_build_perturbation_equals_dense_normal_equations():
 
 
 def test_rank2_pair_identities_match_dense_traces():
-    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and <X, sym(uv^T)> = u^T X v,
-    # against the entrywise dense constraints of the oracle
-    from hinv.worstcase import _pair_inner, _pair_trace, _sym_combination
+    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2, over integers after one
+    # common scaling, and <X, sym(uv^T)> = u^T X v, against the entrywise dense
+    # constraints of the oracle
+    from hinv.worstcase import _integer_pair_inner, _integer_pairs, _pair_trace, _sym_combination
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         basis = constraint_matrices(h)
@@ -253,12 +254,13 @@ def test_rank2_pair_identities_match_dense_traces():
         pairs += [basis.c_pair, basis.d_pair, basis.e_pair]
         mats = list(a.values()) + list(b.values()) + [c, d, e]
         g0 = H.gram_g0(h)
-        for p, pm in zip(pairs, mats):
+        scale, scaled = _integer_pairs(pairs)
+        for p, sp, pm in zip(pairs, scaled, mats):
             assert pm == [list(row) for row in zip(*pm)]
             assert _sym_combination([(1, p)], h.n + 1) == pm
             assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
-            for q, qm in zip(pairs, mats):
-                assert _pair_inner(p, q) == _dense_trace_inner(pm, qm)
+            for sq, qm in zip(scaled, mats):
+                assert F(_integer_pair_inner(sp, sq), scale) == _dense_trace_inner(pm, qm)
 
 
 def test_build_perturbation_errors():
@@ -302,6 +304,13 @@ def test_witness_random_violating_population():
         for _ in range(2):
             h = random_certificate_violating_h(rng, n)
             _check_witness(h, H.suboptimality_witness(h))
+
+
+def test_witness_random_violating_large_horizons():
+    rng = random.Random(1012)
+    for n in (10, 11, 12):
+        h = random_certificate_violating_h(rng, n)
+        _check_witness(h, H.suboptimality_witness(h))
 
 
 def test_witness_vectors_roundtrip():
