@@ -23,6 +23,7 @@ and floats are rejected at the door.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 
 class DegenerateProfileError(ValueError):
@@ -49,9 +50,12 @@ class HMatrix:
     rows drives ``n_minus_1`` operator evaluations and its terminal iterate
     is judged against the horizon N = ``n_minus_1`` + 1.  The empty matrix
     (zero rows) is allowed and represents the do-nothing method.
+
+    The matrix is immutable, so the per-column prefix sums are built once at
+    construction and every :meth:`column_sum` is a difference of two of them.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_prefix")
 
     def __init__(self, rows):
         built = []
@@ -61,6 +65,11 @@ class HMatrix:
                 raise ValueError(f"row {k} must have exactly {k} entries, got {len(entries)}")
             built.append(entries)
         self._rows = tuple(built)
+        # _prefix[j-1][t] = h_{j,j} + ... + h_{j+t-1,j}, for t = 0..n_minus_1-j+1.
+        self._prefix = [
+            list(accumulate((row[j] for row in built[j:]), initial=Fraction(0)))
+            for j in range(len(built))
+        ]
 
     @property
     def n_minus_1(self) -> int:
@@ -88,10 +97,11 @@ class HMatrix:
         """Sum of h_{i,j} for lo <= i <= hi (empty range gives 0)."""
         if not 1 <= j <= self.n_minus_1 or hi > self.n_minus_1:
             raise ValueError(f"column sum ({j},{lo},{hi}) outside a {self.n_minus_1}-row matrix")
-        total = Fraction(0)
-        for i in range(max(lo, j), hi + 1):
-            total += self._rows[i - 1][j - 1]
-        return total
+        lo = max(lo, j)
+        if hi < lo:
+            return Fraction(0)
+        col = self._prefix[j - 1]
+        return col[hi - j + 1] - col[lo - j]
 
     def truncate(self, rows: int) -> "HMatrix":
         """The leading rows-by-rows submatrix (a prefix of the method)."""
@@ -193,19 +203,20 @@ def p_invariant(h: HMatrix, k: int, m: int) -> Fraction:
 
 
 def _q_table(h: HMatrix, k: int):
-    """Q(k, m, j) for m, j = 1..k as a dict; vacuous entries are absent."""
-    table = {}
-    for j in range(1, k + 1):
-        table[(1, j)] = h.column_sum(j, j, k)
+    """Q(k, m, j) by columns: ``cols[j-1][m-1]`` for j = 1..k and m = 1..k-j+1.
+
+    Only the non-vacuous orders are stored; Q(k, m, j) = 0 for m > k - j + 1.
+    """
+    cols = [[h.column_sum(j, j, k)] for j in range(1, k + 1)]
     for m in range(1, k):
         for j in range(1, k - m + 1):
             acc = Fraction(0)
             for ell in range(j + 1, k - m + 2):
-                prev = table.get((m, ell))
+                prev = cols[ell - 1][m - 1]
                 if prev:
                     acc += h.column_sum(j, j, ell - 1) * prev
-            table[(m + 1, j)] = acc
-    return table
+            cols[j - 1].append(acc)
+    return cols
 
 
 def q_partial(h: HMatrix, k: int, m: int, j: int) -> Fraction:
@@ -219,7 +230,7 @@ def q_partial(h: HMatrix, k: int, m: int, j: int) -> Fraction:
         raise ValueError(f"(m, j)=({m},{j}) outside 1..{k}")
     if j > k - m + 1:
         return Fraction(0)
-    return _q_table(h, k)[(m, j)]
+    return _q_table(h, k)[j - 1][m - 1]
 
 
 def d_value(h: HMatrix, k: int) -> Fraction:
@@ -258,11 +269,10 @@ def q_profile(h: HMatrix) -> QProfile:
     size = h.n_minus_1
     if size == 0:
         return QProfile(1, {})
-    table = _q_table(h, size)
     values = {
-        (k, j): table[(k, j)]
-        for j in range(1, size + 1)
-        for k in range(1, size - j + 2)
+        (k, j): v
+        for j, col in enumerate(_q_table(h, size), start=1)
+        for k, v in enumerate(col, start=1)
     }
     return QProfile(h.n, values)
 
@@ -275,10 +285,13 @@ def h_from_q_profile(q: QProfile) -> HMatrix:
     DegenerateProfileError.  Inverse of :func:`q_profile` on matrices with
     nonzero diagonal.
 
-    Column by column, the diagonal entry comes from the ratio of two
-    consecutive anti-diagonal values, interior entries invert the partial
-    invariant recursion one order at a time, and the last row closes the
-    column against Q(N-1, 1, j).
+    Column by column, the partial invariant recursion is inverted one order
+    at a time for the running sums s_i = h_{j,j} + ... + h_{i,j}:
+
+        s_i = (Q(N-1, N-i, j) - sum_{l=j+1..i} s_{l-1} Q(N-1, N-i-1, l)) / Q(N-1, N-i-1, i+1)
+
+    for i = j..N-2 (at i = j the ratio of two anti-diagonal values), and the
+    column total is s_{N-1} = Q(N-1, 1, j).  Each entry h_{i,j} = s_i - s_{i-1}.
     """
     n = q.n
     size = n - 1
@@ -289,23 +302,14 @@ def h_from_q_profile(q: QProfile) -> HMatrix:
             raise DegenerateProfileError(f"anti-diagonal value Q({size},{n - j},{j}) is zero")
 
     rows = [[Fraction(0)] * k for k in range(1, size + 1)]
-
-    def put(i, j, v):
-        rows[i - 1][j - 1] = v
-
-    def col_sum(j, lo, hi):
-        return sum((rows[i - 1][j - 1] for i in range(lo, hi + 1)), Fraction(0))
-
     for j in range(1, size + 1):
-        if j == size:
-            put(size, size, q.value(1, size))
-            continue
-        put(j, j, q.value(n - j, j) / q.value(n - j - 1, j + 1))
-        for i in range(j + 1, size):
+        sums = [Fraction(0)]  # sums[t] = s_{j+t-1}, so sums[0] = s_{j-1} = 0
+        for i in range(j, size):
             acc = q.value(n - i, j)
             for ell in range(j + 1, i + 1):
-                acc -= col_sum(j, j, ell - 1) * q.value(n - i - 1, ell)
-            put(i, j, acc / q.value(n - i - 1, i + 1) - col_sum(j, j, i - 1))
-        put(size, j, q.value(1, j) - col_sum(j, j, size - 1))
-
+                acc -= sums[ell - j] * q.value(n - i - 1, ell)
+            sums.append(acc / q.value(n - i - 1, i + 1))
+        sums.append(q.value(1, j))
+        for i in range(j, size + 1):
+            rows[i - 1][j - 1] = sums[i - j + 1] - sums[i - j]
     return HMatrix(rows)

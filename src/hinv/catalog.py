@@ -239,14 +239,12 @@ def anytime_extend(h: HMatrix, target: int) -> HMatrix:
         raise ValueError("prefix does not certify optimal; cannot extend")
     if target <= h.n_minus_1:
         raise ValueError(f"target {target} must exceed the current dimension {h.n_minus_1}")
-    rows = [list(row) for row in h.rows]
-    for r in range(h.n_minus_1 + 1, target + 1):
-        row = []
-        for m in range(1, r):
-            col = sum((rows[i - 1][m - 1] for i in range(m, r)), Fraction(0))
-            row.append(Fraction(-1, r + 1) * col)
-        row.append(Fraction(r, r + 1))
+    rows = list(h.rows)
+    totals = [h.column_sum(m, m, h.n_minus_1) for m in range(1, h.n)]
+    for r in range(h.n, target + 1):
+        row = [Fraction(-1, r + 1) * col for col in totals] + [Fraction(r, r + 1)]
         rows.append(row)
+        totals = [col + x for col, x in zip(totals, row)] + [row[-1]]
     return HMatrix(rows)
 
 
@@ -256,7 +254,6 @@ def is_ohm_tail(h: HMatrix, from_row: int) -> bool:
         if h.entry(r, r) != Fraction(r, r + 1):
             return False
         for m in range(1, r):
-            col = sum((h.entry(i, m) for i in range(m, r)), Fraction(0))
-            if h.entry(r, m) != Fraction(-1, r + 1) * col:
+            if h.entry(r, m) != Fraction(-1, r + 1) * h.column_sum(m, m, r - 1):
                 return False
     return True

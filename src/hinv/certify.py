@@ -215,10 +215,7 @@ def certificates(h: HMatrix) -> CertificateSet:
     if n == 1:
         return CertificateSet(1, {})
 
-    q = _q_table(h, n - 1)
-    rows = [[Fraction(1)]] + [
-        [Fraction(0)] + [q[(m, j)] for m in range(1, n - j + 1)] for j in range(1, n)
-    ]
+    rows = [[Fraction(1)]] + [[Fraction(0)] + col for col in _q_table(h, n - 1)]
     c = binomial_congruence(rows)
     lam = {(k, j): -n * c[j][k if k < n else 0] for k in range(2, n + 1) for j in range(1, k)}
     return CertificateSet(n, lam)

@@ -20,28 +20,6 @@ class InconsistentSystemError(ValueError):
     """Linear system that admits no solution at all."""
 
 
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            aik = a[i][k]
-            if aik:
-                row_b = b[k]
-                row_o = out[i]
-                for j in range(p):
-                    row_o[j] += aik * row_b[j]
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_det(a) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination over the integers.
 

@@ -86,11 +86,16 @@ def qprofile_to_dict(q: QProfile) -> dict:
 def qprofile_from_dict(data) -> QProfile:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("profile document must be an object with an 'n' field")
-    values = {
-        _parse_pair_key(key): parse_rational(v)
-        for key, v in (data.get("q") or {}).items()
-    }
-    return QProfile(int(data["n"]), values)
+    n = data["n"]
+    if type(n) is not int:
+        raise ValueError(f"profile horizon must be an integer, got {n!r}")
+    table = data.get("q")
+    if table is None:
+        table = {}
+    if not isinstance(table, dict):
+        raise ValueError("'q' must be an object mapping 'k,j' to rationals")
+    values = {_parse_pair_key(key): parse_rational(v) for key, v in table.items()}
+    return QProfile(n, values)
 
 
 def verdict_to_dict(v: Verdict) -> dict:

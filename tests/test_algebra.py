@@ -32,6 +32,28 @@ def test_upper_triangle_is_zero():
     assert h.entry(2, 3) == 0
 
 
+def test_column_sum_against_entries():
+    rng = random.Random(59)
+    mats = [H.ohm(7), H.strange3(), H.h_dual(H.strange3())]
+    mats += [random_h(rng, size) for size in range(1, 9)]
+    for h in mats:
+        n = h.n
+        for j in range(1, n):
+            for lo in range(0, n + 1):
+                for hi in range(lo - 1, n):
+                    want = sum((h.entry(i, j) for i in range(max(lo, j), hi + 1)), F(0))
+                    assert h.column_sum(j, lo, hi) == want, (h, j, lo, hi)
+        for bad in ((0, 1, 1), (n, 1, 1), (1, 1, n)):
+            with pytest.raises(ValueError):
+                h.column_sum(*bad)
+        for k in range(1, n):
+            t = h.truncate(k)
+            for j in range(1, k + 1):
+                for lo in range(0, k + 1):
+                    for hi in range(lo - 1, k + 1):
+                        assert t.column_sum(j, lo, hi) == h.column_sum(j, lo, hi)
+
+
 def test_p_invariant_base_cases():
     h = H.ohm(4)
     assert H.p_invariant(h, 3, 0) == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -173,23 +174,19 @@ def test_q_from_sparsity_splits_match_block_generators():
 
 
 def test_q_from_sparsity_arbitrary_mixture_forces_column_sparsity():
-    # any top/bottom mixture yields an invariant matrix whose certificates
-    # vanish per-column according to the chosen pattern
-    rng = random.Random(67)
-    for _ in range(6):
-        n = rng.randint(4, 8)
-        pattern = tuple(rng.choice((H.TOP, H.BOTTOM)) for _ in range(n - 2))
-        choice = H.SparsityChoice(n, pattern)
-        h = H.h_from_sparsity(choice)
-        assert H.invariance_report(h).is_invariant()
-        lam = H.certificates(h)
-        for j, kind in enumerate(pattern, start=1):
-            if kind == H.TOP:
-                zero_rows = range(j + 2, n + 1)
-            else:
-                zero_rows = range(j + 1, n)
-            for k in zero_rows:
-                assert lam.value(k, j) == 0, (n, pattern, k, j)
+    # census of every top/bottom pattern for N = 3..8: each certifies optimal,
+    # and column j keeps exactly one certificate, positive, at row j+1 (top)
+    # or N (bottom; also the last column, which the pattern leaves free)
+    for n in range(3, 9):
+        for pattern in itertools.product((H.TOP, H.BOTTOM), repeat=n - 2):
+            verdict = H.certify(H.h_from_sparsity(H.SparsityChoice(n, pattern)))
+            assert verdict.is_optimal, (n, pattern)
+            lam = verdict.certificates
+            for j in range(1, n):
+                row = j + 1 if j <= n - 2 and pattern[j - 1] == H.TOP else n
+                nonzero = [(k, lam.value(k, j)) for k in range(j + 1, n + 1) if lam.value(k, j)]
+                assert len(nonzero) == 1 and nonzero[0][0] == row and nonzero[0][1] > 0, (
+                    n, pattern, j, nonzero)
 
 
 def test_column_relations_match_nullspace_oracle():

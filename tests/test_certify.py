@@ -129,6 +129,15 @@ def test_elimination_agrees_on_random_invariant():
         assert H.solve_lambda_by_elimination(h) == H.certificates(h)
 
 
+def test_elimination_and_profile_round_trip_at_large_horizons():
+    rng = random.Random(71)
+    for n in (16, 20, 24):
+        pattern = tuple(rng.choice((H.TOP, H.BOTTOM)) for _ in range(n - 2))
+        h = H.h_from_sparsity(H.SparsityChoice(n, pattern))
+        assert H.solve_lambda_by_elimination(h) == H.certificates(h), (n, pattern)
+        assert H.h_from_q_profile(H.q_profile(h)) == h, (n, pattern)
+
+
 def test_elimination_refuses_noninvariant():
     with pytest.raises(H.InvarianceError):
         H.solve_lambda_by_elimination(H.HMatrix([["1/3"]]))

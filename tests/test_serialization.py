@@ -99,6 +99,24 @@ def test_qprofile_absent_keys_are_zero():
     assert q.value(1, 2) == 0
 
 
+def test_qprofile_document_errors():
+    # the horizon must be a JSON integer and 'q' an object (absent or null: empty)
+    for doc in (
+        {"n": 4.9},
+        {"n": True},
+        {"n": "3"},
+        {"n": None},
+        {"n": 3, "q": [1]},
+        {"n": 3, "q": "1,1"},
+        {"n": 3, "q": {"1,1": 0.5}},
+        ["n", 3],
+    ):
+        with pytest.raises(ValueError):
+            ser.qprofile_from_dict(doc)
+    assert ser.qprofile_from_dict({"n": 3}) == H.QProfile(3, {})
+    assert ser.qprofile_from_dict({"n": 3, "q": None}) == H.QProfile(3, {})
+
+
 def test_verdict_documents():
     doc = ser.verdict_to_dict(H.certify(H.strange3()))
     assert doc["status"] == "optimal"
