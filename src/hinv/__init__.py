@@ -51,16 +51,6 @@ from .certify import (
     s_coefficients,
     solve_lambda_by_elimination,
 )
-from .simulate import (
-    OperatorOracle,
-    Trajectory,
-    anytime_check,
-    linear_oracle,
-    rotation_oracle,
-    run,
-    worst_case_oracle,
-    worst_case_start,
-)
 from .worstcase import (
     GramWitness,
     TraceLedger,
@@ -136,3 +126,20 @@ __all__ = [
     "worst_case_start",
     "rotation_oracle",
 ]
+
+# hinv.simulate's names resolve on first use (PEP 562), so numpy loads only
+# when a float routine is needed.
+_SIMULATE_NAMES = frozenset({"OperatorOracle", "Trajectory", "anytime_check", "linear_oracle",
+                             "rotation_oracle", "run", "worst_case_oracle", "worst_case_start"})
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIMULATE_NAMES)

@@ -28,9 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import catalog, oracles, serialization, simulate, worstcase
+from . import catalog, oracles, serialization, worstcase
 from .algebra import h_dual
 from .certify import (
     STATUS_INVARIANCE_VIOLATED,
@@ -183,16 +181,24 @@ def cmd_falsify(args):
 
 
 def _oracle_from_spec(spec, dim):
+    from . import simulate
+
     if spec == "worstcase":
         return simulate.worst_case_oracle(dim)
     if spec.startswith("rotation:"):
         return simulate.rotation_oracle(float(spec.split(":", 1)[1]))
     if spec.startswith("matrix:"):
-        return simulate.linear_oracle(np.array(_read_json(spec.split(":", 1)[1]), dtype=float))
+        return simulate.linear_oracle(_read_json(spec.split(":", 1)[1]))
     raise ValueError(f"unknown oracle spec {spec!r}")
 
 
 def cmd_simulate(args):
+    # numpy and the float simulator load only here, so the exact commands
+    # start without them.
+    import numpy as np
+
+    from . import simulate
+
     h = _load_hmatrix(args.h)
     if args.steps is not None:
         if not 0 <= args.steps <= h.n_minus_1:
@@ -265,6 +271,8 @@ def cmd_sweep(args):
                     cells.extend((args.family, n, p) for p in primes if 2 <= p <= n - 2)
                 else:
                     cells.append((args.family, n, None))
+        if not cells:
+            raise ValueError("the ranges select no family member")
         cells = [cell + (_generate(*cell),) for cell in cells]
     except ValueError as exc:
         _say(f"sweep: {exc}", "red")

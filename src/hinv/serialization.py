@@ -26,6 +26,7 @@ from .certify import (
 from .worstcase import GramWitness
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_PAIR_KEY_RE = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
 
 
 def format_rational(x) -> str:
@@ -70,10 +71,11 @@ def _pair_key(k: int, j: int) -> str:
 
 
 def _parse_pair_key(key: str):
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bad index key {key!r}; expected 'k,j'")
-    return int(parts[0]), int(parts[1])
+    # fullmatch: '$' would also accept a trailing newline
+    if not isinstance(key, str) or not _PAIR_KEY_RE.fullmatch(key):
+        raise ValueError(f"bad index key {key!r}; expected 'k,j' with positive decimal indices")
+    k, j = key.split(",")
+    return int(k), int(j)
 
 
 def qprofile_to_dict(q: QProfile) -> dict:

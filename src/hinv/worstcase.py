@@ -31,8 +31,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
 from .combinatorics import binom, binomial_congruence
@@ -481,6 +479,8 @@ def witness_vectors(w: GramWitness):
     happened exactly upstream; the reconstruction is verified to reproduce
     the Gram entries to 1e-10.
     """
+    import numpy as np  # the one float routine here; exact callers never load numpy
+
     gram = np.array([[float(x) for x in row] for row in w.gram])
     try:
         chol = np.linalg.cholesky(gram)

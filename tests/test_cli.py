@@ -198,6 +198,13 @@ def test_sweep_bad_range_fails_before_header(capsys):
     assert_clean_failure(*run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "1:3"))
 
 
+def test_sweep_selecting_no_cell_fails_before_header(capsys):
+    # self-dual members need 2 <= N' <= N - 2, so these ranges hold none
+    assert_clean_failure(*run_cli(capsys, "sweep", "--family", "self-dual", "--n-range", "3:3"))
+    assert_clean_failure(*run_cli(capsys, "sweep", "--family", "self-dual", "--n-range", "4:6",
+                                  "--n-prime-range", "9:12"))
+
+
 def test_falsify_readme_example(tmp_path, capsys):
     dual = write_matrix(tmp_path, "sd.json", H.h_dual(H.strange3()))
     code, stdout, _ = run_cli(capsys, "falsify", dual, "--pair", "4", "2")

@@ -113,6 +113,14 @@ def test_qprofile_document_errors():
     ):
         with pytest.raises(ValueError):
             ser.qprofile_from_dict(doc)
+    # a key is exactly two positive decimal indices 'k,j': int() alone would
+    # read each of these as a valid pair (or let '01,1' overwrite '1,1')
+    for key in ("1_0,1", "01,1", "1,01", "+1,1", " 1,1", "1, 1", "1,1\n", "\u0661,1",
+                "0,1", "1,0", "-1,1", "1,1,1", "1", "", "1;1", "k,j"):
+        with pytest.raises(ValueError, match="bad index key"):
+            ser.qprofile_from_dict({"n": 12, "q": {key: "1"}})
+    with pytest.raises(ValueError, match="bad index key"):
+        ser.qprofile_from_dict({"n": 3, "q": {"1,1": "1", "01,1": "2"}})
     assert ser.qprofile_from_dict({"n": 3}) == H.QProfile(3, {})
     assert ser.qprofile_from_dict({"n": 3, "q": None}) == H.QProfile(3, {})
 
