@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import HMatrix, _q_table, as_rational, p_invariant
-from .combinatorics import binom, binomial_congruence
+from .combinatorics import binom, gram, signed_binomial, signed_binomial_transform
 from .exactlinalg import SingularMatrixError, mat_solve
 
 STATUS_OPTIMAL = "optimal"
@@ -203,10 +203,9 @@ def certificates(h: HMatrix) -> CertificateSet:
         lambda*_{N,j} = N sum_m (-1)^(m-1) Q(m, j)
         lambda*_{k,j} = N sum_{l,m} (-1)^(l+m-1) C(l+m, m) Q(l, j) Q(m, k)
 
-    Both are read off one :func:`~hinv.combinatorics.binomial_congruence` C,
-    whose row j = 1..N-1 is Q(m, j) for m = 0..N-j (0 at m = 0) and whose
-    row 0 is the unit vector at m = 0: lambda*_{k,j} = -N C[j][k] for k < N,
-    and lambda*_{N,j} = -N C[0][j].
+    Both come from the signed binomial transforms v_j = B q_j of the columns
+    q_j = (0, Q(1, j), ..., Q(N-j, j)): K = B^T B gives lambda*_{k,j} =
+    -N <v_j, v_k> for k < N, and B e_0 = e_0 gives lambda*_{N,j} = -N (v_j)_0.
     """
     report = invariance_report(h)
     if not report.is_invariant():
@@ -215,9 +214,10 @@ def certificates(h: HMatrix) -> CertificateSet:
     if n == 1:
         return CertificateSet(1, {})
 
-    rows = [[Fraction(1)]] + [[Fraction(0)] + col for col in _q_table(h, n - 1)]
-    c = binomial_congruence(rows)
-    lam = {(k, j): -n * c[j][k if k < n else 0] for k in range(2, n + 1) for j in range(1, k)}
+    v = [signed_binomial_transform([Fraction(0)] + col) for col in _q_table(h, n - 1)]
+    c = gram(v)
+    lam = {(k, j): -n * (c[j - 1][k - 1] if k < n else v[j - 1][0])
+           for k in range(2, n + 1) for j in range(1, k)}
     return CertificateSet(n, lam)
 
 
@@ -335,16 +335,16 @@ def necessity_triangular_solve(n: int):
 
     The worst-case operator analysis requires
         sum_{m >= j-1} (-1)^(m+j-1) C(m, j-1) P(N-1, m) = 1/N
-    for j = 1..N.  Solving in the order j = N..1 determines every P(N-1, m)
-    uniquely; the result equals C(N, m+1)/N.  Returns the solution vector
-    indexed by m = 0..N-1.
+    for j = 1..N, that is B p = (1/N, ..., 1/N) with the unit upper-triangular
+    signed binomial matrix B of :mod:`hinv.combinatorics`.  Back-substitution
+    in the order j = N..1 determines every P(N-1, m) uniquely; the result
+    equals C(N, m+1)/N.  Returns the solution vector indexed by m = 0..N-1.
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
     p = [None] * n
-    for j in range(n, 0, -1):
-        acc = Fraction(1, n)
-        for m in range(j, n):
-            acc -= (-1) ** (m + j - 1) * binom(m, j - 1) * p[m]
-        p[j - 1] = acc
+    for i in range(n - 1, -1, -1):
+        p[i] = Fraction(1, n) - sum(
+            (signed_binomial(i, m) * p[m] for m in range(i + 1, n)), Fraction(0)
+        )
     return p

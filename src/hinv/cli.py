@@ -64,15 +64,13 @@ def _say(text, color=None):
 
 
 def _write_out(payload: str, path):
+    if not payload.endswith("\n"):
+        payload += "\n"
     if path in (None, "-"):
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
 
 
 def _read_json(path):
@@ -93,17 +91,15 @@ def _load_hmatrix(path):
 
 
 def _generate(family, n, n_prime):
+    if family in ("self-dual", "second-mixed") and n_prime is None:
+        raise ValueError(f"--n-prime is required for {family}")
     if family == "ohm":
         return catalog.ohm(n)
     if family == "dual-ohm":
         return catalog.dual_ohm(n)
     if family == "self-dual":
-        if n_prime is None:
-            raise ValueError("--n-prime is required for self-dual")
         return catalog.self_dual_mixed(n, n_prime)
     if family == "second-mixed":
-        if n_prime is None:
-            raise ValueError("--n-prime is required for second-mixed")
         return catalog.second_mixed(n, n_prime)
     if family == "strange3":
         return catalog.strange3()
@@ -297,31 +293,25 @@ def _oracle_check_report(seed, n_max, inject_bug=False):
 
     from .algebra import p_invariant, q_partial
 
-    mismatch = None
-    for size in range(1, min(n_max, 6) + 1):
-        for _ in range(3):
-            h = oracles.random_h(rng, size)
-            for k in range(1, size + 1):
-                for m in range(0, k + 1):
-                    fast = p_invariant(h, k, m)
-                    slow = oracles.p_by_enumeration(h, k, m)
-                    if inject_bug and mismatch is None:
-                        slow += 1
-                    if fast != slow:
-                        mismatch = {"h": serialization.hmatrix_to_dict(h), "k": k, "m": m,
-                                    "fast": str(fast), "slow": str(slow)}
-                        break
-                for m in range(1, k + 1):
-                    for j in range(1, k + 1):
-                        if q_partial(h, k, m, j) != oracles.q_by_enumeration(h, k, m, j):
-                            mismatch = mismatch or {
-                                "h": serialization.hmatrix_to_dict(h), "k": k, "m": m, "j": j}
-                if mismatch:
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
+    def invariant_mismatch():
+        """The first P or Q value where the recursion and the enumeration differ."""
+        for size in range(1, min(n_max, 6) + 1):
+            for _ in range(3):
+                h = oracles.random_h(rng, size)
+                doc = serialization.hmatrix_to_dict(h)
+                for k in range(1, size + 1):
+                    for m in range(0, k + 1):
+                        fast = p_invariant(h, k, m)
+                        slow = oracles.p_by_enumeration(h, k, m) + int(inject_bug)
+                        if fast != slow:
+                            return {"h": doc, "k": k, "m": m, "fast": str(fast), "slow": str(slow)}
+                    for m in range(1, k + 1):
+                        for j in range(1, k + 1):
+                            if q_partial(h, k, m, j) != oracles.q_by_enumeration(h, k, m, j):
+                                return {"h": doc, "k": k, "m": m, "j": j}
+        return None
+
+    mismatch = invariant_mismatch()
     record("invariant-enumeration", mismatch is None, json.dumps(mismatch) if mismatch else "")
 
     lam_bad = None

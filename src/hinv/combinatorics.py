@@ -1,5 +1,7 @@
 """Exact binomial coefficients, including the generalized negative-argument case,
-and the congruence with the alternating-binomial kernel."""
+and the signed binomial matrix B[i][m] = (-1)^(m+i) C(m, i).  B factors the
+alternating-binomial kernel K[m][n] = (-1)^(m+n) C(m+n, m) as K = B^T B
+(Vandermonde), so each congruence x K y is the dot product of Bx and By."""
 
 import math
 from fractions import Fraction
@@ -20,24 +22,40 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def binomial_congruence(rows):
-    """Exact congruence rows * K * rows^T with the alternating-binomial kernel.
+def signed_binomial(i: int, m: int) -> int:
+    """The entry B[i][m] = (-1)^(m+i) C(m, i) for i, m >= 0; zero for i > m."""
+    c = math.comb(m, i)
+    return -c if (m - i) % 2 else c
 
-    K[m][n] = (-1)^(m+n) C(m+n, m).  Each row is a coefficient vector indexed
-    from 0; ragged rows are read as zero-padded to the longest, and zero
-    entries are skipped.  Returns the symmetric len(rows) x len(rows) matrix
-    as lists of Fractions.
+
+def signed_binomial_transform(row) -> list:
+    """B row, i.e. v_i = sum_{m >= i} (-1)^(m+i) C(m, i) row[m] for i < len(row).
+
+    B is unit upper triangular, so zero-padding a row zero-pads its transform.
     """
-    width = max((len(row) for row in rows), default=0)
-    kernel = [[(-1) ** (m + n) * math.comb(m + n, m) for n in range(width)] for m in range(width)]
-    weighted = [  # weighted[a] = rows[a] * K
-        [sum((x * kernel[m][n] for m, x in enumerate(row) if x), Fraction(0)) for n in range(width)]
-        for row in rows
+    return [
+        sum((signed_binomial(i, m) * row[m] for m in range(i, len(row)) if row[m]), Fraction(0))
+        for i in range(len(row))
     ]
-    out = [[Fraction(0)] * len(rows) for _ in rows]
-    for a, wa in enumerate(weighted):
+
+
+def dot(u, v) -> Fraction:
+    """Exact inner product; the shorter vector reads as zero-padded."""
+    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+
+
+def gram(vectors):
+    """The symmetric matrix of pairwise :func:`dot` products."""
+    out = [[Fraction(0)] * len(vectors) for _ in vectors]
+    for a, u in enumerate(vectors):
         for b in range(a + 1):
-            out[a][b] = out[b][a] = sum(
-                (wa[n] * x for n, x in enumerate(rows[b]) if x), Fraction(0)
-            )
+            out[a][b] = out[b][a] = dot(u, vectors[b])
     return out
+
+
+def binomial_congruence(rows):
+    """Exact rows * K * rows^T, the :func:`gram` of the transformed rows (K = B^T B).
+
+    Ragged rows are read as zero-padded to the longest.
+    """
+    return gram([signed_binomial_transform(row) for row in rows])

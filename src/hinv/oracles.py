@@ -3,8 +3,9 @@
 Everything here recomputes a quantity by a route disjoint from the one the
 library uses: invariant polynomials by literal chain enumeration instead of
 the recursions, the certificate coefficient table by expanding the defining
-identity as a quadratic form, the per-column sparsity relations by an exact
-nullspace computation, and the combinatorial identities by raw summation.
+identity as a quadratic form, the run's Gram matrix by running the method on
+the cyclic operator, the per-column sparsity relations by an exact nullspace
+computation, and the combinatorial identities by raw summation.
 The checks double as the back end of the ``oracle-check`` command.
 
 Seeded random generators for step matrices (arbitrary, invariant, and
@@ -20,6 +21,7 @@ from .catalog import BOTTOM, TOP
 from .certify import CertificateSet, certificates
 from .combinatorics import binom
 from .exactlinalg import mat_nullspace, solve_consistent
+from .worstcase import worst_operator
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,33 @@ def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
 
     part1, part2 = off_span(len(members) - 2), off_span(len(members) - 1)
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
+
+
+# ---------------------------------------------------------------------------
+# The run's Gram matrix by running the method.
+
+
+def gram_by_cyclic_run(h: HMatrix):
+    """The Gram matrix of :func:`hinv.worstcase.gram_g0`, by running the method.
+
+    Runs y_k = y_{k-1} - 2 sum_{j<=k} h_{k,j} g_j in Fractions on the cyclic
+    operator of :func:`hinv.worstcase.worst_operator` (y - T y = 2 G y), from
+    the representative start u = -(1, ..., 1), with increments g_k = G y_{k-1}.
+    The true start u / sqrt(N) has unit distance to the fixed point 0, so
+    the result is (1/N) Gram[g_1, ..., g_N, u].  No P table, no binomials.
+    """
+    n = h.n
+    g = worst_operator(n).g_rows()
+    start = [Fraction(-1)] * n
+    y, incs = start, []
+    for k in range(1, n + 1):
+        incs.append([sum((a * b for a, b in zip(row, y)), Fraction(0)) for row in g])
+        if k < n:
+            step = [sum((2 * h.entry(k, j) * inc[i] for j, inc in enumerate(incs, 1)), Fraction(0))
+                    for i in range(n)]
+            y = [a - b for a, b in zip(y, step)]
+    vectors = incs + [start]
+    return [[sum((a * b for a, b in zip(u, v)), Fraction(0)) / n for v in vectors] for u in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .certify import (
 )
 from .worstcase import GramWitness
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _PAIR_KEY_RE = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
 
 
@@ -39,9 +39,11 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    # canonical: format_rational writes the value back as exactly this text
+    value = Fraction(text) if isinstance(text, str) and _RATIONAL_RE.fullmatch(text) else None
+    if value is None or format_rational(value) != text:
         raise ValueError(f"not a canonical rational string: {text!r}")
-    return Fraction(text.strip())
+    return value
 
 
 def hmatrix_to_dict(h: HMatrix) -> dict:

@@ -144,6 +144,8 @@ def worst_case_start(n: int, r_sq: float = 1.0):
 
 def rotation_oracle(theta: float) -> OperatorOracle:
     """Planar rotation by theta radians about the origin (nonexpansive, fixed point 0)."""
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     c, s = np.cos(theta), np.sin(theta)
     m = np.array([[c, -s], [s, c]])
     return OperatorOracle(dimension=2, evaluate=lambda x: m @ x, description=f"rotation {theta}")

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
-from .combinatorics import binom, binomial_congruence
+from .combinatorics import dot, gram, signed_binomial_transform
 from .exactlinalg import leading_principal_minors, mat_det, solve_consistent
 
 
@@ -126,7 +126,7 @@ def worst_operator(n: int) -> WorstCaseOperator:
 def terminal_gy(h: HMatrix, r_sq) -> list:
     """Coefficients of the terminal gradient direction on the cyclic operator.
 
-    Returns the vector v with
+    Returns the signed binomial transform v of the row P(N-1, .),
         v_j = sum_{m >= j-1} (-1)^(m+j-1) C(m, j-1) P(N-1, m),
     so that the squared terminal gradient norm is (r_sq/N) * |v|^2.  On the
     invariance level set every v_j equals 1/N.
@@ -134,15 +134,7 @@ def terminal_gy(h: HMatrix, r_sq) -> list:
     r_sq = as_rational(r_sq)
     if r_sq <= 0:
         raise ValueError("squared initial distance must be positive")
-    n = h.n
-    p = _p_table(h, n - 1)[n - 1]
-    return [
-        sum(
-            ((-1) ** (m + j - 1) * binom(m, j - 1) * p[m] for m in range(j - 1, n)),
-            Fraction(0),
-        )
-        for j in range(1, n + 1)
-    ]
+    return signed_binomial_transform(_p_table(h, h.n - 1)[-1])
 
 
 def worst_case_residual_sq(h: HMatrix, r_sq) -> Fraction:
@@ -154,24 +146,22 @@ def worst_case_residual_sq(h: HMatrix, r_sq) -> Fraction:
     """
     r_sq = as_rational(r_sq)
     v = terminal_gy(h, r_sq)
-    return 4 * (r_sq / h.n) * sum((x * x for x in v), Fraction(0))
+    return 4 * (r_sq / h.n) * dot(v, v)
 
 
 def gram_g0(h: HMatrix):
     """Gram matrix of the run on the cyclic operator, with unit initial distance.
 
-    Row/column i <= N holds the pairwise products of the resolvent
-    increments,
-        (G0)_{i,j} = (1/N) sum_{m,n} (-1)^(m+n) C(m+n, m) P(i-1, m) P(j-1, n),
-    one :func:`~hinv.combinatorics.binomial_congruence` of the rows P(t, .);
-    the border holds their products with y_0 - y_star (all equal to 1/N),
-    and the corner is 1.  Returned as an (N+1)x(N+1) list of lists.
+    (1/N) times the Gram matrix of the signed binomial transforms B p_t of
+    the rows p_t = P(t, .), t = 0..N-1, and of the all-ones vector 1 of
+    length N.  Since K = B^T B, entry (i, j) <= N is the product of two
+    resolvent increments, (1/N) sum_{m,n} (-1)^(m+n) C(m+n, m) P(i-1, m) P(j-1, n);
+    the border is their product with y_0 - y_star, (1/N) <B p_t, 1> =
+    (1/N) P(t, 0) = 1/N as 1^T B = e_0^T; the corner is |1|^2 / N = 1.
     """
     n = h.n
-    border = Fraction(1, n)
-    gram = [[x / n for x in row] + [border] for row in binomial_congruence(_p_table(h, n - 1))]
-    gram.append([border] * n + [Fraction(1)])
-    return gram
+    vectors = [signed_binomial_transform(row) for row in _p_table(h, n - 1)]
+    return [[x / n for x in row] for row in gram(vectors + [[Fraction(1)] * n])]
 
 
 @dataclass(frozen=True)
@@ -203,10 +193,6 @@ class ConstraintBasis:
     c_pair: tuple
     d_pair: tuple
     e_pair: tuple
-
-
-def _dot(u, v):
-    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
 
 
 def _sym_combination(terms, dim):
@@ -257,7 +243,7 @@ def _integer_pair_inner(p, q):
 def _pair_trace(x, pair):
     """Trace of a symmetric matrix x against sym(u v^T), i.e. u^T x v."""
     u, v = pair
-    return _dot(u, [_dot(row, v) for row in x])
+    return dot(u, [dot(row, v) for row in x])
 
 
 def constraint_matrices(h: HMatrix) -> ConstraintBasis:
@@ -363,7 +349,7 @@ def _project_off_span(targets, span):
     rhs = [[_integer_pair_inner(p, t) for t in targets] for p in span]
     coeffs = list(zip(*solve_consistent(gram, rhs)))
     inner = [
-        [(_integer_pair_inner(s, t) - _dot(c, r)) / scale for t, r in zip(targets, zip(*rhs))]
+        [(_integer_pair_inner(s, t) - dot(c, r)) / scale for t, r in zip(targets, zip(*rhs))]
         for s, c in zip(targets, coeffs)
     ]
     return coeffs, inner

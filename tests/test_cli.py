@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -172,6 +173,17 @@ def test_simulate_zero_start_is_malformed(tmp_path, capsys):
     y0.write_text("[0.0, 0.0]")
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
                                   "--oracle", "rotation:0.3", "--y0", str(y0)))
+
+
+def test_simulate_non_finite_rotation_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(4))
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[1.0, 0.25]")
+    for angle in ("inf", "-inf", "nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
+                                          "--oracle", f"rotation:{angle}", "--y0", str(y0)))
 
 
 def test_simulate_nonpositive_r_sq_is_malformed(tmp_path, capsys):

@@ -1,11 +1,18 @@
 import math
+import random
 from fractions import Fraction as F
 
-from hinv.combinatorics import binom, binomial_congruence
+from hinv.combinatorics import (
+    binom,
+    binomial_congruence,
+    signed_binomial,
+    signed_binomial_transform,
+)
 from hinv.oracles import (
     check_binomial_sum_identities,
     check_hockey_stick,
     check_vandermonde_convolution,
+    random_rational,
 )
 
 
@@ -64,3 +71,26 @@ def test_binomial_congruence_matches_double_sum():
             )
             assert got[a][b] == want, (a, b)
     assert binomial_congruence([]) == []
+
+
+def test_signed_binomial_factors_the_kernel():
+    # B^T B = K entrywise, with B[i][m] = (-1)^(m+i) C(m, i) written out here
+    for width in range(17):
+        b = [[(-1) ** (m + i) * math.comb(m, i) for m in range(width)] for i in range(width)]
+        assert [[signed_binomial(i, m) for m in range(width)] for i in range(width)] == b
+        for m in range(width):
+            for n in range(width):
+                btb = sum(b[i][m] * b[i][n] for i in range(width))
+                assert btb == (-1) ** (m + n) * math.comb(m + n, m), (width, m, n)
+
+
+def test_signed_binomial_transform_inverts_by_binomial_sums():
+    # binomial inversion: x_m = sum_i C(i, m) (Bx)_i
+    rng = random.Random(29)
+    for width in range(12):
+        for _ in range(3):
+            x = [random_rational(rng) * F(1, rng.randint(1, 5)) for _ in range(width)]
+            v = signed_binomial_transform(x)
+            assert len(v) == width
+            assert [sum((math.comb(i, m) * v[i] for i in range(width)), F(0))
+                    for m in range(width)] == x

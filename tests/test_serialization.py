@@ -20,7 +20,11 @@ def test_rational_parsing():
     assert ser.parse_rational("3/4") == F(3, 4)
     assert ser.parse_rational("-7") == F(-7)
     assert ser.parse_rational(12) == F(12)
-    for bad in ("0.5", "3/-4", "1/0", "a/b", "", "1.0e3"):
+    assert ser.parse_rational("-1/2") == F(-1, 2)
+    assert ser.parse_rational("0") == 0
+    # only the text format_rational writes back is canonical
+    for bad in ("0.5", "3/-4", "1/0", "a/b", "", "1.0e3",
+                "\u0661/2", " 1/2 ", "1/2\n", "007", "+1", "-0", "2/4", "3/1", "0/5"):
         with pytest.raises(ValueError):
             ser.parse_rational(bad)
 

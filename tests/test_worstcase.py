@@ -10,6 +10,7 @@ from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
     _dense_trace_inner,
     dense_constraints,
+    gram_by_cyclic_run,
     perturbation_by_normal_equations,
     random_certificate_violating_h,
     random_h,
@@ -111,6 +112,20 @@ def test_gram_g0_borders_and_first_entry():
     for i in range(n):
         assert g0[i][n] == F(1, n) and g0[n][i] == F(1, n)
     assert g0[0][0] == F(1, n)
+
+
+def test_gram_g0_equals_gram_of_the_cyclic_run(catalog8):
+    # the Gram matrix G0 against the run it describes, invariant or not
+    rng = random.Random(41)
+    cases = [(f"random-{size}-{t}", random_h(rng, size)) for size in range(1, 10) for t in range(2)]
+    for label, h in cases + catalog8:
+        n = h.n
+        run_gram = gram_by_cyclic_run(h)
+        assert H.gram_g0(h) == run_gram, label
+        last = run_gram[n - 1][n - 1]
+        for r in (F(1), F(7, 3)):
+            assert H.worst_case_residual_sq(h, r) == 4 * r * last, label
+        assert sum(x * x for x in H.terminal_gy(h, 1)) / n == last, label
 
 
 def test_gram_g0_invariance_structure(catalog8):
