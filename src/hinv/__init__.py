@@ -20,21 +20,6 @@ from .algebra import (
     q_partial,
     q_profile,
 )
-from .catalog import (
-    BOTTOM,
-    TOP,
-    DegeneratePatternError,
-    SparsityChoice,
-    anytime_extend,
-    dual_ohm,
-    h_from_sparsity,
-    is_ohm_tail,
-    ohm,
-    q_from_sparsity,
-    second_mixed,
-    self_dual_mixed,
-    strange3,
-)
 from .certify import (
     STATUS_CERTIFICATE_VIOLATED,
     STATUS_INVARIANCE_VIOLATED,
@@ -50,20 +35,6 @@ from .certify import (
     necessity_triangular_solve,
     s_coefficients,
     solve_lambda_by_elimination,
-)
-from .worstcase import (
-    GramWitness,
-    TraceLedger,
-    WorstCaseOperator,
-    adjugate_spotcheck,
-    build_perturbation,
-    gram_g0,
-    interpolation_traces,
-    suboptimality_witness,
-    terminal_gy,
-    witness_vectors,
-    worst_case_residual_sq,
-    worst_operator,
 )
 
 __version__ = "1.0.0"
@@ -127,19 +98,34 @@ __all__ = [
     "rotation_oracle",
 ]
 
-# hinv.simulate's names resolve on first use (PEP 562), so numpy loads only
-# when a float routine is needed.
-_SIMULATE_NAMES = frozenset({"OperatorOracle", "Trajectory", "anytime_check", "linear_oracle",
-                             "rotation_oracle", "run", "worst_case_oracle", "worst_case_start"})
+# Every other name resolves on first use (PEP 562) from the module that owns
+# it: a bare ``import hinv`` loads algebra, combinatorics and certify only, the
+# catalog and witness modules load with their first name, and numpy only with
+# a hinv.simulate name.  The names catalog, worstcase and exactlinalg resolve
+# to the modules themselves.
+_LAZY = {
+    **dict.fromkeys(("BOTTOM", "TOP", "DegeneratePatternError", "SparsityChoice", "anytime_extend",
+                     "dual_ohm", "h_from_sparsity", "is_ohm_tail", "ohm", "q_from_sparsity",
+                     "second_mixed", "self_dual_mixed", "strange3", "catalog"), "catalog"),
+    **dict.fromkeys(("GramWitness", "TraceLedger", "WorstCaseOperator", "adjugate_spotcheck",
+                     "build_perturbation", "gram_g0", "interpolation_traces",
+                     "suboptimality_witness", "terminal_gy", "witness_vectors",
+                     "worst_case_residual_sq", "worst_operator", "worstcase"), "worstcase"),
+    **dict.fromkeys(("OperatorOracle", "Trajectory", "anytime_check", "linear_oracle",
+                     "rotation_oracle", "run", "worst_case_oracle", "worst_case_start"),
+                    "simulate"),
+    "exactlinalg": "exactlinalg",
+}
 
 
 def __getattr__(name):
-    if name in _SIMULATE_NAMES:
-        from . import simulate
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 def __dir__():
-    return sorted(set(globals()) | _SIMULATE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))

@@ -21,7 +21,7 @@ Provided here:
                                    continuation of an optimal prefix.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import HMatrix, QProfile, h_from_q_profile
@@ -149,23 +149,21 @@ def strange3() -> HMatrix:
     ])
 
 
-@dataclass(frozen=True)
-class SparsityChoice:
+class SparsityChoice(namedtuple("SparsityChoice", "n pattern")):
     """A per-column choice of certificate sparsity, TOP or BOTTOM, for j = 1..n-2."""
 
-    n: int
-    pattern: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __new__(cls, n: int, pattern):
+        if n < 3:
             raise ValueError("sparsity patterns need a horizon of at least 3")
-        pat = tuple(self.pattern)
-        if len(pat) != self.n - 2:
-            raise ValueError(f"pattern must cover columns 1..{self.n - 2}")
+        pat = tuple(pattern)
+        if len(pat) != n - 2:
+            raise ValueError(f"pattern must cover columns 1..{n - 2}")
         for entry in pat:
             if entry not in (TOP, BOTTOM):
                 raise ValueError(f"pattern entries must be {TOP!r} or {BOTTOM!r}, got {entry!r}")
-        object.__setattr__(self, "pattern", pat)
+        return super().__new__(cls, n, pat)
 
     def choice(self, j: int) -> str:
         if not 1 <= j <= self.n - 2:

@@ -14,12 +14,11 @@ coefficient system s(H, lambda) whose vanishing defines the certificates,
 and the combined verdict.  Everything is exact rational arithmetic.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import HMatrix, _q_table, as_rational, p_invariant
 from .combinatorics import binom, gram, signed_binomial, signed_binomial_transform
-from .exactlinalg import SingularMatrixError, mat_solve
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INVARIANCE_VIOLATED = "invariance_violated"
@@ -38,12 +37,10 @@ class InternalConsistencyError(RuntimeError):
     """An identity that must hold by construction failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(namedtuple("InvarianceReport", "n residuals")):
     """Residuals P(N-1, m) - C(N, m+1)/N for m = 1..N-1."""
 
-    n: int
-    residuals: tuple
+    __slots__ = ()
 
     def residual(self, m: int) -> Fraction:
         if not 1 <= m <= self.n - 1:
@@ -106,19 +103,17 @@ class CertificateSet:
         return f"CertificateSet(n={self._n}, nonzero={nz})"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status report certificates negative",
+                         defaults=(None, ()))):
     """Certification outcome for one step matrix.
 
     ``status`` is one of the STATUS_* constants.  The invariance report is
-    always present; certificates are present unless invariance failed;
-    ``negative`` lists the offending pairs when certificates go negative.
+    always present; certificates (a CertificateSet) are present unless
+    invariance failed; ``negative`` lists the offending pairs when
+    certificates go negative.
     """
 
-    status: str
-    report: InvarianceReport
-    certificates: CertificateSet | None = None
-    negative: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def is_optimal(self) -> bool:
@@ -233,6 +228,8 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     first-column equation of every block is then verified exactly, so any
     inconsistency raises InternalConsistencyError.
     """
+    from .exactlinalg import SingularMatrixError, mat_solve  # only this solver needs it
+
     report = invariance_report(h)
     if not report.is_invariant():
         raise InvarianceError(report)
@@ -258,21 +255,18 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     for j in range(1, n):
         lam[(n, j)] = top[j - 1]
 
-    def lam_at(k, j):
-        return lam[(k, j)]
-
     def coupling(k, j):
         acc = Fraction(0)
         for m in range(k + 1, n + 1):
-            acc += h.column_sum(j, k, m - 1) * lam_at(m, k)
-            acc += h.column_sum(k, k, m - 1) * lam_at(m, j)
+            acc += h.column_sum(j, k, m - 1) * lam[(m, k)]
+            acc += h.column_sum(k, k, m - 1) * lam[(m, j)]
         return acc
 
     for k in range(n - 1, 1, -1):
         width = k - 1
         rhs1 = Fraction(0)
         for i in range(k + 1, n + 1):
-            rhs1 += (2 * h.column_sum(k, k, i - 1) - 1) * lam_at(i, k)
+            rhs1 += (2 * h.column_sum(k, k, i - 1) - 1) * lam[(i, k)]
         # Unit-triangular system after the row operations: row 1 is all ones,
         # row j (j >= 2) has ones on the diagonal and column sums to its right.
         upper = {}
@@ -291,9 +285,9 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
         for i in range(1, k):
             lam[(k, i)] = sol[i]
         # The dropped first-column equation must hold automatically.
-        check = lam_at(k, 1)
+        check = lam[(k, 1)]
         for i in range(1, k):
-            check -= h.column_sum(1, max(i, 1), k - 1) * lam_at(k, i)
+            check -= h.column_sum(1, max(i, 1), k - 1) * lam[(k, i)]
         check += coupling(k, 1)
         if check != 0:
             raise InternalConsistencyError(f"dropped equation at row {k} violated")
@@ -301,7 +295,7 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     # Row k = 1 contributes one pure consistency equation.
     check = Fraction(0)
     for i in range(2, n + 1):
-        check += (2 * h.column_sum(1, 1, i - 1) - 1) * lam_at(i, 1)
+        check += (2 * h.column_sum(1, 1, i - 1) - 1) * lam[(i, 1)]
     if check != 0:
         raise InternalConsistencyError("row-1 consistency equation violated")
 

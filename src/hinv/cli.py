@@ -24,12 +24,11 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
-from . import catalog, oracles, serialization, worstcase
-from .algebra import h_dual
+from . import serialization
+from .algebra import h_dual, p_invariant, q_partial
 from .certify import (
     STATUS_INVARIANCE_VIOLATED,
     STATUS_OPTIMAL,
@@ -68,9 +67,13 @@ def _write_out(payload: str, path):
         payload += "\n"
     if path in (None, "-"):
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
+    except OSError as exc:
+        _say(f"cannot write {path}: {exc.strerror or exc}", "red")
+        raise SystemExit(EXIT_MALFORMED) from None
 
 
 def _read_json(path):
@@ -91,6 +94,8 @@ def _load_hmatrix(path):
 
 
 def _generate(family, n, n_prime):
+    from . import catalog  # only gen and sweep build family members
+
     if family in ("self-dual", "second-mixed") and n_prime is None:
         raise ValueError(f"--n-prime is required for {family}")
     if family == "ohm":
@@ -110,6 +115,8 @@ def cmd_gen(args):
     try:
         h = _generate(args.family, args.n, args.n_prime)
         if args.extend is not None:
+            from . import catalog
+
             h = catalog.anytime_extend(h, args.extend)
     except ValueError as exc:
         _say(f"gen: {exc}", "red")
@@ -124,10 +131,12 @@ def cmd_certify(args):
     _write_out(json.dumps(serialization.verdict_to_dict(verdict), indent=2), None)
     if verdict.status == STATUS_OPTIMAL:
         lam = verdict.certificates
-        _say(f"optimal: horizon {h.n}, min certificate {lam.min_value()}", "green")
+        _say(f"optimal: horizon {h.n}, min certificate "
+             f"{serialization.format_rational(lam.min_value())}", "green")
         return EXIT_OK
     if verdict.status == STATUS_INVARIANCE_VIOLATED:
-        _say(f"invariance violated: max |residual| = {verdict.report.max_abs()}", "red")
+        _say("invariance violated: max |residual| = "
+             f"{serialization.format_rational(verdict.report.max_abs())}", "red")
         return EXIT_INVARIANCE
     pairs = ", ".join(f"({k},{j})" for k, j in verdict.negative)
     _say(f"certificate violated at {pairs}", "red")
@@ -141,6 +150,8 @@ def cmd_dual(args):
 
 
 def cmd_falsify(args):
+    from . import worstcase  # the witness machinery loads only here
+
     h = _load_hmatrix(args.input)
     verdict = certify(h)
     if verdict.status == STATUS_OPTIMAL:
@@ -281,6 +292,10 @@ def cmd_sweep(args):
 
 def _oracle_check_report(seed, n_max, inject_bug=False):
     """Run every oracle family; returns (lines, first_counterexample or None)."""
+    import random
+
+    from . import oracles
+
     rng = random.Random(seed)
     lines = []
     counterexample = None
@@ -290,8 +305,6 @@ def _oracle_check_report(seed, n_max, inject_bug=False):
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
         if not ok and counterexample is None:
             counterexample = {"oracle": name, "detail": detail}
-
-    from .algebra import p_invariant, q_partial
 
     def invariant_mismatch():
         """The first P or Q value where the recursion and the enumeration differ."""
@@ -314,23 +327,18 @@ def _oracle_check_report(seed, n_max, inject_bug=False):
     mismatch = invariant_mismatch()
     record("invariant-enumeration", mismatch is None, json.dumps(mismatch) if mismatch else "")
 
-    lam_bad = None
-    for n in range(3, min(n_max, 8) + 1):
-        for _ in range(3):
-            h = oracles.random_invariant_h(rng, n)
-            if certificates(h) != solve_lambda_by_elimination(h):
-                lam_bad = {"h": serialization.hmatrix_to_dict(h)}
-                break
-        if lam_bad:
-            break
+    # drawn lazily, so the first disagreement stops the draws
+    invariant_hs = (oracles.random_invariant_h(rng, n)
+                    for n in range(3, min(n_max, 8) + 1) for _ in range(3))
+    lam_bad = next(({"h": serialization.hmatrix_to_dict(h)} for h in invariant_hs
+                    if certificates(h) != solve_lambda_by_elimination(h)), None)
     record("certificate-solvers", lam_bad is None, json.dumps(lam_bad) if lam_bad else "")
 
-    bad = oracles.check_vandermonde_convolution(20)
-    record("vandermonde-convolution", not bad, str(bad[:3]) if bad else "")
-    bad = oracles.check_hockey_stick(20)
-    record("hockey-stick", not bad, str(bad[:3]) if bad else "")
-    bad = oracles.check_binomial_sum_identities(20)
-    record("binomial-sums", not bad, str(bad[:3]) if bad else "")
+    for name, check in (("vandermonde-convolution", oracles.check_vandermonde_convolution),
+                        ("hockey-stick", oracles.check_hockey_stick),
+                        ("binomial-sums", oracles.check_binomial_sum_identities)):
+        bad = check(20)
+        record(name, not bad, str(bad[:3]) if bad else "")
 
     return lines, counterexample
 

@@ -51,11 +51,3 @@ def gram(vectors):
         for b in range(a + 1):
             out[a][b] = out[b][a] = dot(u, vectors[b])
     return out
-
-
-def binomial_congruence(rows):
-    """Exact rows * K * rows^T, the :func:`gram` of the transformed rows (K = B^T B).
-
-    Ragged rows are read as zero-padded to the longest.
-    """
-    return gram([signed_binomial_transform(row) for row in rows])

@@ -17,11 +17,8 @@ import random
 from fractions import Fraction
 
 from .algebra import HMatrix, QProfile, h_from_q_profile
-from .catalog import BOTTOM, TOP
-from .certify import CertificateSet, certificates
+from .certify import CertificateSet, certificates, invariance_report
 from .combinatorics import binom
-from .exactlinalg import mat_nullspace, solve_consistent
-from .worstcase import worst_operator
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +192,8 @@ def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
     no shared elimination, no rank-one update.  Performs no certificate or
     trace checks; the caller picks a negative pair.
     """
+    from .exactlinalg import solve_consistent
+
     n = h.n
     a, b, corner, d, e = dense_constraints(h)
     members = [m for key, m in a.items() if key != (i0, j0)]
@@ -235,6 +234,8 @@ def gram_by_cyclic_run(h: HMatrix):
     The true start u / sqrt(N) has unit distance to the fixed point 0, so
     the result is (1/N) Gram[g_1, ..., g_N, u].  No P table, no binomials.
     """
+    from .worstcase import worst_operator
+
     n = h.n
     g = worst_operator(n).g_rows()
     start = [Fraction(-1)] * n
@@ -261,6 +262,9 @@ def sparsity_relation_ratios(n: int, j: int, kind: str):
     (which must be one-dimensional), and returns the ratios normalized so
     the last coordinate -- the anti-diagonal value -- is 1.
     """
+    from .catalog import BOTTOM, TOP
+    from .exactlinalg import mat_nullspace
+
     width = n - j
     if kind == TOP:
         ms = range(0, n - j - 1)
@@ -394,7 +398,6 @@ def random_certificate_violating_h(rng: random.Random, n: int, max_tries: int = 
 
 def random_noninvariant_h(rng: random.Random, size: int, max_tries: int = 2000) -> HMatrix:
     """Rejection-sample a matrix strictly off the invariance level set."""
-    from .certify import invariance_report
 
     for _ in range(max_tries):
         h = random_h(rng, size)

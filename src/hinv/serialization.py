@@ -18,20 +18,41 @@ import re
 from fractions import Fraction
 
 from .algebra import HMatrix, QProfile
-from .certify import (
-    STATUS_INVARIANCE_VIOLATED,
-    STATUS_OPTIMAL,
-    Verdict,
-)
-from .worstcase import GramWitness
+from .certify import STATUS_INVARIANCE_VIOLATED, STATUS_OPTIMAL, Verdict
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _PAIR_KEY_RE = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
+# Plain int() and str() convert integers of up to _PIECE digits, below 640,
+# the smallest int<->str digit limit Python can be set to; longer integers
+# are split in halves at a power of ten, so they convert at any length.
+_PIECE = 600
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an integer of any length."""
+    if n.bit_length() <= 3 * _PIECE:  # 2^1800 < 10^542
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half its digits, as log10(2) > 3/10
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _integer(text: str) -> int:
+    """int(text) for a decimal string of any length."""
+    if len(text) <= _PIECE:
+        return int(text)
+    if text.startswith("-"):
+        return -_integer(text[1:])
+    k = len(text) // 2
+    return _integer(text[:-k]) * 10 ** k + _integer(text[-k:])
 
 
 def format_rational(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
 
 
 def parse_rational(text) -> Fraction:
@@ -40,8 +61,11 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     # canonical: format_rational writes the value back as exactly this text
-    value = Fraction(text) if isinstance(text, str) and _RATIONAL_RE.fullmatch(text) else None
-    if value is None or format_rational(value) != text:
+    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text)):
+        raise ValueError(f"not a canonical rational string: {text!r}")
+    num, _, den = text.partition("/")
+    value = Fraction(_integer(num), _integer(den or "1"))
+    if format_rational(value) != text:
         raise ValueError(f"not a canonical rational string: {text!r}")
     return value
 
@@ -103,24 +127,17 @@ def qprofile_from_dict(data) -> QProfile:
 
 
 def verdict_to_dict(v: Verdict) -> dict:
-    out = {
+    lam = () if v.certificates is None else v.certificates.items()
+    return {
         "status": v.status,
-        "residuals": {
-            str(m): format_rational(v.report.residual(m))
-            for m in range(1, v.report.n)
-        },
-        "lambda": {},
+        "residuals": {str(m): format_rational(v.report.residual(m)) for m in range(1, v.report.n)},
+        "lambda": {_pair_key(k, j): format_rational(value) for (k, j), value in lam},
         "negative": [list(pair) for pair in v.negative],
     }
-    if v.certificates is not None:
-        out["lambda"] = {
-            _pair_key(k, j): format_rational(value)
-            for (k, j), value in v.certificates.items()
-        }
-    return out
 
 
-def witness_to_dict(w: GramWitness) -> dict:
+def witness_to_dict(w) -> dict:
+    """The document of a :class:`hinv.worstcase.GramWitness`."""
     return {
         "n": w.n,
         "epsilon": format_rational(w.epsilon),

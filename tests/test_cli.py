@@ -307,3 +307,34 @@ def test_simulate_rejects_integers_beyond_float_range(tmp_path, capsys):
                                   "--y0", str(huge)))
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
                                   "--oracle", f"matrix:{huge}", "--y0", str(ok)))
+
+
+def test_unwritable_out_is_malformed(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    optimal = write_matrix(tmp_path, "o.json", H.ohm(4))
+    violated = write_matrix(tmp_path, "v.json", H.h_dual(H.strange3()))
+    for argv in (("gen", "ohm", "--n", "4", "--out", missing),
+                 ("dual", optimal, "--out", str(tmp_path)),  # a directory
+                 ("falsify", violated, "--out", missing)):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert_clean_failure(code, stdout, stderr)
+        assert argv[-1] in stderr
+        assert "witness at pair" not in stderr
+
+
+def test_results_beyond_the_int_str_digit_limit(tmp_path, capsys):
+    big = "1" + "0" * 2000 + "1"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "rows": [[big], ["1", big], ["1", "1", big]]}))
+    h = ser.hmatrix_from_dict(json.loads(path.read_text()))
+    code, stdout, stderr = run_cli(capsys, "certify", str(path))
+    assert code == 2 and "Traceback" not in stderr
+    doc = json.loads(stdout)
+    assert doc["status"] == "invariance_violated"
+    residuals = H.invariance_report(h).residuals
+    assert max(len(r) for r in doc["residuals"].values()) > 4300
+    assert [ser.parse_rational(doc["residuals"][str(m)]) for m in (1, 2, 3)] == list(residuals)
+    code, stdout, _ = run_cli(capsys, "falsify", str(path))
+    assert code == 5
+    excess = ser.parse_rational(json.loads(stdout)["excess"])
+    assert excess == H.worst_case_residual_sq(h, 1) - F(4, 16) > 0

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 from hinv.combinatorics import (
     binom,
-    binomial_congruence,
+    gram,
     signed_binomial,
     signed_binomial_transform,
 )
@@ -52,6 +52,7 @@ def test_binomial_sum_identities_sweep():
 
 
 def test_binomial_congruence_matches_double_sum():
+    # the Gram matrix of the transformed rows is rows * K * rows^T (K = B^T B):
     # ragged rows with zero and negative entries, against the literal double sum
     rows = [
         [F(1)],
@@ -61,7 +62,7 @@ def test_binomial_congruence_matches_double_sum():
         [F(-4), F(1, 2)],
         [F(0), F(0)],
     ]
-    got = binomial_congruence(rows)
+    got = gram([signed_binomial_transform(r) for r in rows])
     for a, ra in enumerate(rows):
         for b, rb in enumerate(rows):
             want = sum(
@@ -70,7 +71,7 @@ def test_binomial_congruence_matches_double_sum():
                 F(0),
             )
             assert got[a][b] == want, (a, b)
-    assert binomial_congruence([]) == []
+    assert gram([]) == []
 
 
 def test_signed_binomial_factors_the_kernel():

@@ -1,9 +1,10 @@
-"""The exact commands never import numpy; only the float paths load it.
+"""Each command loads only the modules it runs; only the float paths load numpy.
 
-Each command runs in a fresh interpreter that reports on stderr whether
-numpy ended up in ``sys.modules``.  Its stdout and exit code must equal an
-in-process ``cli.main`` run of the same argv, so the check also pins that
-the lazy imports change no output.
+Each command runs in a fresh interpreter that reports on stderr which
+``hinv`` modules, and whether numpy and dataclasses, ended up in
+``sys.modules``.  Its stdout and exit code must equal an in-process
+``cli.main`` run of the same argv, so the check also pins that the lazy
+imports change no output.
 """
 
 import json
@@ -20,8 +21,22 @@ from hinv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PROBE = ("import sys, hinv.cli; c = hinv.cli.main(sys.argv[1:]); "
-         "print('numpy' in sys.modules, file=sys.stderr); sys.exit(c)")
+REPORT = ("import json, sys; print(json.dumps({'hinv': sorted(m[5:] for m in sys.modules "
+          "if m.startswith('hinv.')), 'numpy': 'numpy' in sys.modules, "
+          "'dataclasses': 'dataclasses' in sys.modules}), file=sys.stderr)")
+PROBE = f"import sys, hinv.cli; c = hinv.cli.main(sys.argv[1:]); {REPORT}; sys.exit(c)"
+
+CORE = {"algebra", "combinatorics", "certify", "serialization", "cli"}
+# command -> (the hinv modules it loads, whether it loads dataclasses)
+LOADS = {
+    "certify": (CORE, False),
+    "dual": (CORE, False),
+    "gen": (CORE | {"catalog"}, False),
+    "sweep": (CORE | {"catalog"}, False),
+    "falsify": (CORE | {"worstcase", "exactlinalg"}, True),
+    # the certificate-solvers check runs solve_lambda_by_elimination's mat_solve
+    "oracle-check": (CORE | {"oracles", "exactlinalg"}, False),
+}
 
 
 def fresh_python(*args):
@@ -30,10 +45,16 @@ def fresh_python(*args):
                           capture_output=True, text=True, timeout=300)
 
 
+def loaded(stderr):
+    """The probe's report: loaded hinv modules, and whether numpy and dataclasses are."""
+    try:
+        return json.loads(stderr.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        pytest.fail(stderr[-2000:])
+
+
 def numpy_loaded(stderr):
-    verdict = stderr.strip().splitlines()[-1]
-    assert verdict in ("True", "False"), stderr[-2000:]
-    return verdict == "True"
+    return loaded(stderr)["numpy"]
 
 
 @pytest.fixture
@@ -75,8 +96,13 @@ def resolve(argv, files):
 
 @pytest.mark.parametrize("argv", EXACT, ids=" ".join)
 def test_exact_command_never_imports_numpy(argv, files, capsys):
+    # nor any hinv module, or dataclasses, that the command does not run
     proc, code, stdout = run_both(capsys, resolve(argv, files))
-    assert not numpy_loaded(proc.stderr)
+    report = loaded(proc.stderr)
+    modules, uses_dataclasses = LOADS[argv[0]]
+    assert not report["numpy"]
+    assert set(report["hinv"]) == modules
+    assert report["dataclasses"] == uses_dataclasses
     assert (proc.returncode, proc.stdout) == (code, stdout)
 
 
@@ -89,11 +115,24 @@ def test_float_command_loads_numpy(argv, files, capsys):
 
 
 def test_package_import_leaves_numpy_out():
-    probe = "import sys, hinv; print('numpy' in sys.modules, file=sys.stderr)"
-    assert not numpy_loaded(fresh_python("-c", probe).stderr)
-    # a re-exported simulator name loads it on first use
-    probe = "import sys, hinv; hinv.run; print('numpy' in sys.modules, file=sys.stderr)"
-    assert numpy_loaded(fresh_python("-c", probe).stderr)
+    # a bare import loads the core only
+    report = loaded(fresh_python("-c", f"import hinv; {REPORT}").stderr)
+    assert set(report["hinv"]) == {"algebra", "combinatorics", "certify"}
+    assert not report["numpy"] and not report["dataclasses"]
+    # catalog and witness names load their modules on first use, and the
+    # package attribute certify stays the function
+    probe = "\n".join((
+        "import sys, types, hinv as H",
+        "ohm, witness = H.ohm, H.suboptimality_witness",
+        "assert ohm is sys.modules['hinv.catalog'].ohm",
+        "assert witness is sys.modules['hinv.worstcase'].suboptimality_witness",
+        "assert isinstance(H.certify, types.FunctionType)",
+        "assert H.certify is sys.modules['hinv.certify'].certify",
+    ))
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # a re-exported simulator name loads numpy on first use
+    assert numpy_loaded(fresh_python("-c", f"import hinv; hinv.run; {REPORT}").stderr)
 
 
 def test_public_api_unchanged():

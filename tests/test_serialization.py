@@ -29,6 +29,35 @@ def test_rational_parsing():
             ser.parse_rational(bad)
 
 
+def decimal_by_chunks(n):
+    """Decimal text of an integer, 18 digits at a time (never str() on a long int)."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10 ** 18:
+        n, low = divmod(n, 10 ** 18)
+        chunks.append(f"{low:018d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def test_rationals_beyond_the_int_str_digit_limit():
+    # exact at any length, past Python's 4300-digit int<->str limit
+    rng = random.Random(4300)
+    for digits in (599, 600, 601, 1999, 4301, 10_000):
+        num = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        for value in (F(num), F(-num), F(num, 10 ** digits + 1), F(-7, num)):
+            text = ser.format_rational(value)
+            want = decimal_by_chunks(value.numerator)
+            if value.denominator > 1:
+                want += "/" + decimal_by_chunks(value.denominator)
+            assert text == want
+            assert ser.parse_rational(text) == value
+    ten = ser.format_rational(F(10 ** 10_000))
+    assert ten == "1" + "0" * 10_000
+    assert ser.parse_rational("-" + ten + "/3") == F(-10 ** 10_000, 3)
+    for bad in ("0" + ten, ten + "/" + ten, "-0" + "0" * 10_000):
+        with pytest.raises(ValueError):
+            ser.parse_rational(bad)
+
+
 def test_hmatrix_document_shape():
     doc = ser.hmatrix_to_dict(H.strange3())
     assert doc == {
