@@ -165,6 +165,11 @@ class SparsityChoice(namedtuple("SparsityChoice", "n pattern")):
                 raise ValueError(f"pattern entries must be {TOP!r} or {BOTTOM!r}, got {entry!r}")
         return super().__new__(cls, n, pat)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Validating, unlike the tuple default; ``_replace`` builds through it too."""
+        return cls(*iterable)
+
     def choice(self, j: int) -> str:
         if not 1 <= j <= self.n - 2:
             raise ValueError(f"column {j} outside 1..{self.n - 2}")

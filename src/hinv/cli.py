@@ -77,10 +77,10 @@ def _write_out(payload: str, path):
 
 
 def _read_json(path):
-    """The JSON document in a file; nesting too deep to parse is a ValueError."""
+    """The JSON document in a file, integers of any length; nesting too deep to parse is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=serialization._integer)
         except RecursionError:
             raise ValueError("JSON nesting is too deep") from None
 

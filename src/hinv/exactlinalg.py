@@ -5,7 +5,10 @@ for the modest dimensions this package needs (a few dozen rows at most), so
 plain Gaussian elimination is used throughout.  The determinant
 (`mat_det`, and through it `leading_principal_minors`) and the solvers
 (`mat_solve`, `solve_consistent`, `mat_nullspace`) eliminate fraction-free
-over the integers.  No floating point enters anywhere in this module.
+over the integers, and the solvers' back-substitution is fraction-free too:
+it keeps integer numerators over one common denominator and builds one
+Fraction per solution entry.  No floating point enters anywhere in this
+module.
 """
 
 import math
@@ -20,24 +23,27 @@ class InconsistentSystemError(ValueError):
     """Linear system that admits no solution at all."""
 
 
+def integer_rows(rows):
+    """Rows of ints and Fractions times den, the lcm of their denominators: (integer rows, den)."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def mat_det(a) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination over the integers.
 
-    Rows are scaled to integers by the lcm of their denominators.  Each
-    step replaces an entry by (p * a - f * b) // previous pivot, an exact
-    division, and the last pivot is the integer determinant up to the sign
-    of the row swaps; dividing by the row scales gives the result.
+    Rows are scaled to integers by the lcm of their denominators, so a row
+    of ints needs no Fraction round trip.  Each step replaces an entry by
+    (p * a - f * b) // previous pivot, an exact division, and the last pivot
+    is the integer determinant up to the sign of the row swaps; dividing by
+    the row scales gives the result.
     """
     n = len(a)
     if n == 0:
         return Fraction(1)
-    rows = []
-    scale = 1
-    for row in a:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
+    scaled = [integer_rows([row]) for row in a]
+    rows = [row for (row,), _ in scaled]
+    scale = math.prod(den for _, den in scaled)
     sign = prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
@@ -72,9 +78,7 @@ def _integer_echelon(rows, cols):
     """
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        (ints,), _ = integer_rows([row])
         g = math.gcd(*ints)
         out.append([x // g for x in ints] if g > 1 else ints)
     pivots = []
@@ -101,19 +105,29 @@ def _integer_echelon(rows, cols):
 def _back_substitute(ech, pivots, cols, rhs_columns):
     """Solutions of an echelon system, free variables zero, one per right-hand side.
 
-    ``rhs_columns[k][r]`` is the k-th right-hand side entry of echelon row r.
-    Returns one solution vector of length ``cols`` per right-hand side.
+    ``rhs_columns[k][r]`` is the k-th right-hand side entry of echelon row r;
+    like the echelon rows, the right-hand sides are integers.  Fraction-free:
+    a solution is kept as integer numerators over one common denominator,
+    the lcm of the reduced denominators of the entries solved so far, and
+    each entry becomes a Fraction once, at the end.  Returns one solution
+    vector of length ``cols`` per right-hand side.
     """
     solutions = []
     for rhs in rhs_columns:
-        x = [Fraction(0)] * cols
+        num, den = [0] * cols, 1
         for r in reversed(range(len(pivots))):
             row = ech[r]
-            acc = Fraction(rhs[r]) - sum(
-                (row[c] * x[c] for c in pivots[r + 1:] if row[c]), Fraction(0)
-            )
-            x[pivots[r]] = acc / row[pivots[r]]
-        solutions.append(x)
+            # x_pivot = t / q with t, q the reduced numerator and denominator
+            t = rhs[r] * den - sum(row[c] * num[c] for c in pivots[r + 1:] if row[c])
+            q = den * row[pivots[r]]
+            g = math.gcd(t, q) if q > 0 else -math.gcd(t, q)
+            t, q = t // g, q // g
+            grow = q // math.gcd(den, q)
+            if grow > 1:
+                num = [x * grow for x in num]
+                den *= grow
+            num[pivots[r]] = t * (den // q)
+        solutions.append([Fraction(x, den) for x in num])
     return solutions
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
 from .combinatorics import dot, gram, signed_binomial_transform
-from .exactlinalg import leading_principal_minors, mat_det, solve_consistent
+from .exactlinalg import integer_rows, leading_principal_minors, mat_det, solve_consistent
 
 
 @dataclass(frozen=True)
@@ -195,38 +195,16 @@ class ConstraintBasis:
     e_pair: tuple
 
 
-def _sym_combination(terms, dim):
-    """Dense sym(sum_k c_k u_k v_k^T) for terms (c_k, (u_k, v_k))."""
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, (u, v) in terms:
-        if not c:
-            continue
-        for j, vj in enumerate(v):
-            if vj:
-                cv = c * vj
-                for i, ui in enumerate(u):
-                    if ui:
-                        m[i][j] += cv * ui
-    return [[(m[i][j] + m[j][i]) / 2 for j in range(dim)] for i in range(dim)]
-
-
 def _integer_pairs(pairs):
     """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
 
-    Returns (2 L^4, scaled pairs (U, V, nonzero entries of V)); every v has
-    at most two nonzero entries.  2 L^4 <sym(u v^T), sym(p q^T)> is then the
+    Returns (L, scaled pairs (U, V, nonzero entries of V)); every v has at
+    most two nonzero entries.  2 L^4 <sym(u v^T), sym(p q^T)> is then the
     integer :func:`_integer_pair_inner` of the scaled pairs.
     """
-    scale = math.lcm(*(x.denominator for pair in pairs for vec in pair for x in vec))
-
-    def ints(vec):
-        return [x.numerator * (scale // x.denominator) for x in vec]
-
-    scaled = []
-    for u, v in pairs:
-        v = ints(v)
-        scaled.append((ints(u), v, [(i, x) for i, x in enumerate(v) if x]))
-    return 2 * scale ** 4, scaled
+    vecs, scale = integer_rows([vec for pair in pairs for vec in pair])
+    scaled = [(u, v, [(i, x) for i, x in enumerate(v) if x]) for u, v in zip(vecs[::2], vecs[1::2])]
+    return scale, scaled
 
 
 def _integer_pair_inner(p, q):
@@ -238,6 +216,29 @@ def _integer_pair_inner(p, q):
     ut = sum(u[i] * x for i, x in t_nz)
     vs = sum(s[i] * x for i, x in v_nz)
     return us * vt + ut * vs
+
+
+def _integer_sym_combination(terms, dim):
+    """M + M^T for M = sum_k c_k U_k V_k^T, over terms (c_k, scaled pair) with integer c_k.
+
+    For pairs scaled by L this is 2 L^2 sym(sum_k c_k u_k v_k^T).  Each V has
+    at most two nonzero entries, so M is filled column by column.
+    """
+    cols = [[0] * dim for _ in range(dim)]
+    for c, (u, _, v_nz) in terms:
+        if c:
+            for j, vj in v_nz:
+                col, cv = cols[j], c * vj
+                for i, ui in enumerate(u):
+                    if ui:
+                        col[i] += cv * ui
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(cols, zip(*cols))]
+
+
+def _integer_pair_trace(x, p):
+    """U^T x V for a symmetric integer matrix x and a scaled pair p = (U, V, nonzeros of V)."""
+    u, _, v_nz = p
+    return sum(vj * sum(map(operator.mul, u, x[j])) for j, vj in v_nz)
 
 
 def _pair_trace(x, pair):
@@ -326,22 +327,20 @@ def adjugate_spotcheck(h: HMatrix) -> bool:
     return prod != 0 and mat_det(minor) == prod / Fraction(n ** (n - 2))
 
 
-def _project_off_span(targets, span):
+def _project_off_span(targets, span, scale):
     """Project each target off the span: coefficients, and the projected targets' inner products.
 
-    Targets and span members are constraint pairs.  The span's trace-Gram
-    matrix comes from integer dot products: after one common scaling by L
-    (:func:`_integer_pairs`) each entry is 2 L^4 times the trace inner
-    product, which leaves the solution of the normal equations unchanged.
-    They are reduced once, with one right-hand side per target; the
-    spanning set may be linearly dependent (free coefficients are zero).
+    Targets and span members are constraint pairs scaled to integers by one
+    L = ``scale`` (:func:`_integer_pairs`).  Each entry of the span's
+    trace-Gram matrix is then an integer dot product, 2 L^4 times the trace
+    inner product, which leaves the solution of the normal equations
+    unchanged.  They are reduced once, with one right-hand side per target;
+    the spanning set may be linearly dependent (free coefficients are zero).
     Returns (coeffs, inner): the coefficient vector c_t of each target, so
     T' = T - sum_p c_t[p] p, and inner[s][t] = <T'_s, T'_t>, which equals
     <T_s, T_t> - c_s . <span, T_t> because T'_s is orthogonal to the span;
     it is computed on the scaled integers and divided by 2 L^4.
     """
-    scale, scaled = _integer_pairs(targets + span)
-    targets, span = scaled[: len(targets)], scaled[len(targets):]
     gram = [[0] * len(span) for _ in span]
     for k, p in enumerate(span):
         for m, q in enumerate(span[: k + 1]):
@@ -349,7 +348,7 @@ def _project_off_span(targets, span):
     rhs = [[_integer_pair_inner(p, t) for t in targets] for p in span]
     coeffs = list(zip(*solve_consistent(gram, rhs)))
     inner = [
-        [(_integer_pair_inner(s, t) - dot(c, r)) / scale for t, r in zip(targets, zip(*rhs))]
+        [(_integer_pair_inner(s, t) - dot(c, r)) / (2 * scale**4) for t, r in zip(targets, zip(*rhs))]
         for s, c in zip(targets, coeffs)
     ]
     return coeffs, inner
@@ -367,13 +366,20 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     on the pairs, and one elimination of the Gram of S projects D and E
     together to D' and E'.  Adding the last span member is an exact
     rank-one update: proj_perp(D, span(S + [E])) = D' - f E' with
-    f = <D',E'>/<E',E'> (f = 0 when E' = 0), and symmetrically E' - g D';
-    the sum (1 - g) D' + (1 - f) E' is built densely once, from D, E and S.
+    f = <D',E'>/<E',E'> (f = 0 when E' = 0), and symmetrically E' - g D'.
     Projections are unique, so this equals the dense normal-equation route
-    exactly.  The kernel structure of the constraint family makes this
+    exactly.
+
+    The direction is built over the integers.  Every constraint pair is
+    scaled by one L, which serves the projection and the re-checks alike.
+    The coefficients of (1 - g) D' + (1 - f) E' on D, E and S are scaled by
+    the lcm of their denominators, Lambda, and summed into one integer
+    matrix M + M^T = 2 Lambda L^2 delta, which becomes a Fraction matrix
+    once.  The kernel structure of the constraint family makes this
     succeed exactly when the certificate at (i0, j0) is negative; the five
-    defining trace conditions are re-checked exactly, as u^T delta v on the
-    pairs, before returning.
+    defining trace conditions are re-checked exactly before returning, as
+    the integer U^T (M + M^T) V on the scaled pairs, which is
+    2 Lambda L^4 u^T delta v and so has its sign.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -383,33 +389,34 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
         raise ValueError(f"no violation at ({i0},{j0}): certificate is {lam.value(i0, j0)}")
 
     basis = constraint_matrices(h)
-    shared = [pair for key, pair in sorted(basis.a_pairs.items()) if key != (i0, j0)]
-    shared += [basis.b_pairs[i] for i in range(1, n + 1)]
-    shared.append(basis.c_pair)
-    (cd, ce), ((dd, de), (_, ee)) = _project_off_span([basis.d_pair, basis.e_pair], shared)
+    scale, (d, e, c, *rest) = _integer_pairs(
+        [basis.d_pair, basis.e_pair, basis.c_pair, *basis.a_pairs.values(), *basis.b_pairs.values()]
+    )
+    a = dict(zip(basis.a_pairs, rest))  # keys in sorted order
+    b = rest[len(a):]  # i = 1..N
+    shared = [pair for key, pair in a.items() if key != (i0, j0)] + b + [c]
+    (cd, ce), ((dd, de), (_, ee)) = _project_off_span([d, e], shared, scale)
     wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
     we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
-    delta = _sym_combination(
-        [(wd, basis.d_pair), (we, basis.e_pair)]
-        + [(-wd * x - we * y, p) for x, y, p in zip(cd, ce, shared)],
-        n + 1,
-    )
+    coeffs = [wd, we] + [-wd * x - we * y for x, y in zip(cd, ce)]
+    (ints,), den = integer_rows([coeffs])
+    twice_m = _integer_sym_combination(zip(ints, [d, e] + shared), n + 1)
 
-    for key, pair in basis.a_pairs.items():
-        tr = _pair_trace(delta, pair)
+    for key, pair in a.items():
+        tr = _integer_pair_trace(twice_m, pair)
         if key == (i0, j0):
             if tr <= 0:
                 raise InternalConsistencyError("activated trace is not strictly positive")
         elif tr != 0:
             raise InternalConsistencyError(f"monotonicity trace at {key} not annihilated")
-    for i, pair in basis.b_pairs.items():
-        if _pair_trace(delta, pair) != 0:
+    for i, pair in enumerate(b, 1):
+        if _integer_pair_trace(twice_m, pair) != 0:
             raise InternalConsistencyError(f"fixed-point trace at {i} not annihilated")
-    if _pair_trace(delta, basis.c_pair) != 0:
+    if _integer_pair_trace(twice_m, c) != 0:
         raise InternalConsistencyError("corner entry of the direction is nonzero")
-    if _pair_trace(delta, basis.d_pair) <= 0 or _pair_trace(delta, basis.e_pair) <= 0:
+    if _integer_pair_trace(twice_m, d) <= 0 or _integer_pair_trace(twice_m, e) <= 0:
         raise InternalConsistencyError("terminal-entry selectors not strictly positive")
-    return delta
+    return [[Fraction(x, 2 * den * scale ** 2) for x in row] for row in twice_m]
 
 
 def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = None) -> GramWitness:
@@ -420,7 +427,11 @@ def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = No
     until every leading principal minor of G0 + epsilon * delta is strictly
     positive; first-order positivity of the last minor and strict
     positivity of the first N minors at epsilon = 0 guarantee termination.
-    The witness carries residual_sq = 4 * gram[N][N] > 4/N^2.
+    The test runs on integers: with G0 and delta scaled to integer matrices
+    G and D by the lcm of all their denominators, 2^k G + D is a positive
+    multiple of G0 + 2^-k delta, so its leading minors have the same signs.
+    The Fraction Gram matrix is built once, at the accepted epsilon.  The
+    witness carries residual_sq = 4 * gram[N][N] > 4/N^2.
     """
     if (i0 is None) != (j0 is None):
         raise ValueError("pass both pair indices or neither")
@@ -433,24 +444,22 @@ def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = No
     delta = build_perturbation(h, i0, j0)
     n = h.n
     g0 = gram_g0(h)
-    eps = Fraction(1)
-    for _ in range(256):  # termination is guaranteed well before this
-        gram = [
-            [g0[i][j] + eps * delta[i][j] for j in range(n + 1)]
-            for i in range(n + 1)
-        ]
-        if all(m > 0 for m in leading_principal_minors(gram)):
+    rows, den = integer_rows(g0 + delta)
+    g_int, d_int = rows[: n + 1], rows[n + 1:]
+    for k in range(256):  # epsilon = 2^-k; termination is guaranteed well before this
+        scaled = [[(x << k) + y for x, y in zip(gr, dr)] for gr, dr in zip(g_int, d_int)]
+        if all(m > 0 for m in leading_principal_minors(scaled)):
             break
-        eps /= 2
     else:
         raise InternalConsistencyError("halving failed to restore positive definiteness")
+    gram = [[Fraction(x, den << k) for x in row] for row in scaled]
     residual_sq = 4 * gram[n - 1][n - 1]
     if residual_sq <= Fraction(4, n * n):
         raise InternalConsistencyError("witness residual does not exceed the optimal rate")
     return GramWitness(
         n=n,
         gram=tuple(tuple(row) for row in gram),
-        epsilon=eps,
+        epsilon=Fraction(1, 1 << k),
         direction=tuple(tuple(row) for row in delta),
         violated_pair=(i0, j0),
         residual_sq=residual_sq,

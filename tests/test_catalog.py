@@ -146,6 +146,16 @@ def test_sparsity_choice_validation():
         c.choice(4)
 
 
+def test_sparsity_choice_make_and_replace_validate():
+    with pytest.raises(ValueError):
+        H.SparsityChoice.all_top(5)._replace(n=9)
+    with pytest.raises(ValueError):
+        H.SparsityChoice._make((2, ["x"]))
+    c = H.SparsityChoice.all_top(5)._replace(pattern=[H.BOTTOM] * 3)
+    assert c == H.SparsityChoice.all_bottom(5) and c.pattern == (H.BOTTOM,) * 3
+    assert H.SparsityChoice._make((4, [H.TOP, H.BOTTOM])) == H.SparsityChoice(4, (H.TOP, H.BOTTOM))
+
+
 def test_q_from_sparsity_all_top_is_ohm():
     for n in range(3, 10):
         q = H.q_from_sparsity(H.SparsityChoice.all_top(n))

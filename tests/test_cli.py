@@ -338,3 +338,16 @@ def test_results_beyond_the_int_str_digit_limit(tmp_path, capsys):
     assert code == 5
     excess = ser.parse_rational(json.loads(stdout)["excess"])
     assert excess == H.worst_case_residual_sq(h, 1) - F(4, 16) > 0
+
+
+def test_json_integers_beyond_the_int_str_digit_limit(tmp_path, capsys):
+    # a JSON integer of 5,001 digits reads as the same value written as a string
+    big = "1" + "0" * 5000
+    as_int, as_str = tmp_path / "int.json", tmp_path / "str.json"
+    as_int.write_text(f'{{"rows": [[{big}]]}}')
+    as_str.write_text(f'{{"rows": [["{big}"]]}}')
+    for command in ("certify", "falsify"):
+        code, stdout, stderr = run_cli(capsys, command, str(as_int))
+        assert "set_int_max_str_digits" not in stderr
+        assert (code, stdout) == run_cli(capsys, command, str(as_str))[:2]
+        assert code != 1

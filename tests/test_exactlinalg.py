@@ -6,6 +6,7 @@ import pytest
 from hinv.exactlinalg import (
     InconsistentSystemError,
     SingularMatrixError,
+    _integer_echelon,
     leading_principal_minors,
     mat_det,
     mat_nullspace,
@@ -146,3 +147,56 @@ def test_mat_nullspace_basis():
             assert mat_vec(a, vec) == [F(0)] * rows
             assert [vec[c] for c in free] == [F(int(c == f)) for c in free]
     assert mat_nullspace([[F(1), F(0)], [F(0), F(3)]]) == []
+
+
+def fraction_back_substitute(ech, pivots, cols, rhs_columns):
+    """Back-substitution in Fractions, one division per pivot: the reference route."""
+    solutions = []
+    for rhs in rhs_columns:
+        x = [F(0)] * cols
+        for r in reversed(range(len(pivots))):
+            row = ech[r]
+            acc = F(rhs[r]) - sum((row[c] * x[c] for c in pivots[r + 1:] if row[c]), F(0))
+            x[pivots[r]] = acc / row[pivots[r]]
+        solutions.append(x)
+    return solutions
+
+
+def reference_solutions(a, b_columns):
+    """What mat_solve / solve_consistent / mat_nullspace return, through the Fraction route."""
+    n = len(a[0])
+    ech, pivots = _integer_echelon([list(row) + list(rhs) for row, rhs in zip(a, zip(*b_columns))], n)
+    solutions = fraction_back_substitute(
+        ech, pivots, n, [[row[n + k] for row in ech] for k in range(len(b_columns))]
+    )
+    null_ech, null_pivots = _integer_echelon(a, n)
+    frees = [c for c in range(n) if c not in null_pivots]
+    basis = fraction_back_substitute(null_ech, null_pivots, n, [[-row[f] for row in null_ech] for f in frees])
+    for vec, f in zip(basis, frees):
+        vec[f] = F(1)
+    return solutions, basis, any(row[p] < 0 for row, p in zip(ech, pivots))
+
+
+def test_fraction_free_back_substitution_matches_fraction_route():
+    rng = random.Random(59)
+    negative_pivots = 0
+    for trial in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:  # full-rank square
+            rows = cols
+            a = []
+            while rank(a) < cols:
+                a = [[random_rational(rng) * F(rng.choice((-1, 1)), rng.randint(1, 9))
+                      for _ in range(cols)] for _ in range(cols)]
+        else:
+            a = rank_deficient(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        b_columns = [mat_vec(a, [random_rational(rng) for _ in range(cols)]) for _ in range(3)]
+        solutions, basis, negative = reference_solutions(a, b_columns)
+        negative_pivots += negative
+        assert [solve_consistent(a, b) for b in b_columns] == solutions, trial
+        block = solve_consistent(a, [list(row) for row in zip(*b_columns)])
+        assert [list(col) for col in zip(*block)] == solutions, trial
+        assert mat_nullspace(a) == basis, trial
+        if rows == cols == rank(a):
+            assert [mat_solve(a, b) for b in b_columns] == solutions, trial
+    assert negative_pivots

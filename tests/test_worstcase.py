@@ -262,10 +262,16 @@ def test_build_perturbation_equals_dense_normal_equations():
 
 
 def test_rank2_pair_identities_match_dense_traces():
-    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2, over integers after one
-    # common scaling, and <X, sym(uv^T)> = u^T X v, against the entrywise dense
-    # constraints of the oracle
-    from hinv.worstcase import _integer_pair_inner, _integer_pairs, _pair_trace, _sym_combination
+    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and sym(uv^T) itself, over
+    # integers after one common scaling by L, and <X, sym(uv^T)> = u^T X v, against
+    # the entrywise dense constraints of the oracle
+    from hinv.worstcase import (
+        _integer_pair_inner,
+        _integer_pair_trace,
+        _integer_pairs,
+        _integer_sym_combination,
+        _pair_trace,
+    )
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         basis = constraint_matrices(h)
@@ -278,10 +284,12 @@ def test_rank2_pair_identities_match_dense_traces():
         scale, scaled = _integer_pairs(pairs)
         for p, sp, pm in zip(pairs, scaled, mats):
             assert pm == [list(row) for row in zip(*pm)]
-            assert _sym_combination([(1, p)], h.n + 1) == pm
+            twice = _integer_sym_combination([(1, sp)], h.n + 1)
+            assert [[F(x, 2 * scale ** 2) for x in row] for row in twice] == pm
             assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
             for sq, qm in zip(scaled, mats):
-                assert F(_integer_pair_inner(sp, sq), scale) == _dense_trace_inner(pm, qm)
+                assert F(_integer_pair_inner(sp, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
+                assert F(_integer_pair_trace(twice, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
 
 
 def test_build_perturbation_errors():
@@ -291,6 +299,28 @@ def test_build_perturbation_errors():
         H.build_perturbation(H.HMatrix([["1/3"]]), 2, 1)
     with pytest.raises(ValueError):
         H.build_perturbation(H.h_dual(H.strange3()), 2, 3)  # not lower-triangular
+
+
+def test_build_perturbation_integer_rechecks_catch_a_wrong_coefficient(monkeypatch):
+    # one wrong combination coefficient leaves a nonzero trace, which the integer
+    # re-checks report
+    import hinv.worstcase as wc
+
+    exact = wc._project_off_span
+    h = H.h_dual(H.strange3())
+    for target, index in ((0, 0), (1, -1), (0, 7)):
+
+        def skewed(targets, span, scale, target=target, index=index):
+            coeffs, inner = exact(targets, span, scale)
+            coeffs = [list(c) for c in coeffs]
+            coeffs[target][index] += F(1, 3)
+            return coeffs, inner
+
+        monkeypatch.setattr(wc, "_project_off_span", skewed)
+        with pytest.raises(H.InternalConsistencyError):
+            H.build_perturbation(h, 4, 2)
+    monkeypatch.setattr(wc, "_project_off_span", exact)
+    assert H.build_perturbation(h, 4, 2) == perturbation_by_normal_equations(h, 4, 2)
 
 
 def _check_witness(h, w):
@@ -312,6 +342,33 @@ def test_witness_for_strange_dual():
     assert w42.violated_pair == (4, 2)
     assert w42.residual_sq > F(1, 4)
     _check_witness(h, w42)
+
+
+def test_witness_epsilon_is_the_first_halving_with_positive_fraction_minors():
+    # the integer epsilon-halving accepts exactly the epsilon that halving on the
+    # Fraction matrix G0 + epsilon * delta accepts
+    h = H.h_dual(H.strange3())
+    cases = [(h, pair) for pair in H.certificates(h).negative_pairs()]
+    rng = random.Random(4242)
+    for n in range(4, 10):
+        for _ in range(2):
+            v = random_certificate_violating_h(rng, n)
+            cases.append((v, H.certificates(v).negative_pairs()[0]))
+    below_one = 0
+    for h, pair in cases:
+        g0, delta = H.gram_g0(h), H.build_perturbation(h, *pair)
+
+        def perturbed(eps):
+            return [[g + eps * d for g, d in zip(gr, dr)] for gr, dr in zip(g0, delta)]
+
+        eps = F(1)
+        while not all(m > 0 for m in leading_principal_minors(perturbed(eps))):
+            eps /= 2
+        w = H.suboptimality_witness(h, *pair)
+        assert w.epsilon == eps, (h.n, pair)
+        assert w.gram_rows() == perturbed(eps)
+        below_one += eps < 1
+    assert below_one
 
 
 def test_witness_errors():
