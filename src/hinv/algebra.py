@@ -170,16 +170,20 @@ def _p_table(h: HMatrix, upto: int):
     """P(t, m) for t = 0..upto, m = 0..t, by the first-column recursion.
 
     P(t, 0) = 1 and P(t, m) = sum over j of (column-(j+1) sums of rows
-    j+1..t) times P(j, m-1); this is the exact recursion satisfied by the
-    invariant polynomials and costs O(t^2) values total.
+    j+1..t) times P(j, m-1), the exact recursion of the invariant
+    polynomials.  Row t's tails are summed once, before the m loop, so a
+    table takes O(upto^2) column sums and O(upto^3) products.  The tails come
+    through :meth:`HMatrix.column_sum`, which owns the prefix sums and is the
+    stage the perfbench layer trace counts.
     """
     table = [[Fraction(1)]]
     for t in range(1, upto + 1):
         row = [Fraction(1)]
+        tails = [h.column_sum(j + 1, j + 1, t) for j in range(t)]
         for m in range(1, t + 1):
             acc = Fraction(0)
             for j in range(m - 1, t):
-                tail = h.column_sum(j + 1, j + 1, t)
+                tail = tails[j]
                 if tail:
                     acc += tail * table[j][m - 1]
             row.append(acc)
@@ -206,15 +210,19 @@ def _q_table(h: HMatrix, k: int):
     """Q(k, m, j) by columns: ``cols[j-1][m-1]`` for j = 1..k and m = 1..k-j+1.
 
     Only the non-vacuous orders are stored; Q(k, m, j) = 0 for m > k - j + 1.
+    Column j's heads h_{j,j} + ... + h_{l-1,j}, l = j+1..k, are summed once,
+    before the m loop: O(k^2) column sums and O(k^3) products.  They come
+    through :meth:`HMatrix.column_sum` for the reason given in `_p_table`.
     """
     cols = [[h.column_sum(j, j, k)] for j in range(1, k + 1)]
+    heads = [[h.column_sum(j, j, i) for i in range(j, k)] for j in range(1, k + 1)]
     for m in range(1, k):
         for j in range(1, k - m + 1):
             acc = Fraction(0)
             for ell in range(j + 1, k - m + 2):
                 prev = cols[ell - 1][m - 1]
                 if prev:
-                    acc += h.column_sum(j, j, ell - 1) * prev
+                    acc += heads[j - 1][ell - j - 1] * prev
             cols[j - 1].append(acc)
     return cols
 

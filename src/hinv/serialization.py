@@ -60,6 +60,8 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
+    if isinstance(text, float):
+        raise ValueError(f"rationals must be integers or 'p/q' strings, not the JSON number {text!r}")
     # canonical: format_rational writes the value back as exactly this text
     if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text)):
         raise ValueError(f"not a canonical rational string: {text!r}")

@@ -108,11 +108,15 @@ def run(h: HMatrix, oracle: OperatorOracle, y0, r_sq: float | None = None) -> Tr
 
 
 def linear_oracle(m) -> OperatorOracle:
-    """Oracle for x -> M x, after checking that the spectral norm is at most 1."""
+    """Oracle for x -> M x, after checking for finite entries and a spectral norm of at most 1."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator matrix must be square")
     dim = m.shape[0]
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"operator matrix entry ({i + 1},{j + 1}) is {m[i, j]}, not a finite number")
     norm = float(np.linalg.norm(m, 2))
     if not norm <= 1.0 + 1e-12:
         raise ValueError(f"not nonexpansive: operator norm {norm:.17g}")

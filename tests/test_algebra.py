@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import hinv as H
+from hinv.algebra import _p_table, _q_table
 from hinv.combinatorics import binom
 from hinv.oracles import p_by_enumeration, q_by_enumeration, random_h
 
@@ -276,3 +277,57 @@ def test_self_dual_profile_diagonal_entry():
     q = H.q_profile(H.self_dual_mixed(4, 2))
     h = H.h_from_q_profile(q)
     assert h.entry(2, 2) == 1
+
+
+def unhoisted_p_table(h, upto):
+    """The P recursion with each tail summed inside the order loop: the reference route."""
+    table = [[F(1)]]
+    for t in range(1, upto + 1):
+        row = [F(1)]
+        for m in range(1, t + 1):
+            acc = F(0)
+            for j in range(m - 1, t):
+                tail = h.column_sum(j + 1, j + 1, t)
+                if tail:
+                    acc += tail * table[j][m - 1]
+            row.append(acc)
+        table.append(row)
+    return table
+
+
+def unhoisted_q_table(h, k):
+    """The Q recursion with each head summed inside the order loop: the reference route."""
+    cols = [[h.column_sum(j, j, k)] for j in range(1, k + 1)]
+    for m in range(1, k):
+        for j in range(1, k - m + 1):
+            acc = F(0)
+            for ell in range(j + 1, k - m + 2):
+                prev = cols[ell - 1][m - 1]
+                if prev:
+                    acc += h.column_sum(j, j, ell - 1) * prev
+            cols[j - 1].append(acc)
+    return cols
+
+
+def assert_tables_match_unhoisted(h):
+    """_p_table and every _q_table of h equal the reference loops; returns the Q tables."""
+    size = h.n_minus_1
+    assert _p_table(h, size) == unhoisted_p_table(h, size), h
+    tables = [_q_table(h, k) for k in range(1, size + 1)]
+    assert tables == [unhoisted_q_table(h, k) for k in range(1, size + 1)], h
+    return tables
+
+
+def test_hoisted_tables_match_unhoisted_loops():
+    rng = random.Random(67)
+    for h in [H.ohm(12), H.dual_ohm(12), H.self_dual_mixed(12, 5), H.strange3()]:
+        assert_tables_match_unhoisted(h)
+    for n in range(3, 25):
+        pattern = [rng.choice((H.TOP, H.BOTTOM)) for _ in range(n - 2)]
+        assert_tables_match_unhoisted(H.h_from_sparsity(H.SparsityChoice(n, pattern)))
+    zero_tails = zero_prevs = 0
+    for h in [random_h(rng, size) for size in range(1, 9) for _ in range(3)]:
+        tables = assert_tables_match_unhoisted(h)
+        zero_prevs += sum(v == 0 for cols in tables for col in cols[1:] for v in col)
+        zero_tails += sum(h.column_sum(j, j, t) == 0 for t in range(1, h.n) for j in range(1, t + 1))
+    assert zero_tails and zero_prevs  # both recursions' zero skips are exercised

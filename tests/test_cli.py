@@ -83,6 +83,15 @@ def test_certify_malformed_input(tmp_path, capsys):
     assert run_cli(capsys, "certify", str(path))[0] == 1
 
 
+def test_certify_names_json_numbers(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    for entry in ("0.5", "NaN", "-Infinity", "1e3"):
+        path.write_text(f'{{"rows": [[{entry}]]}}')
+        code, stdout, stderr = run_cli(capsys, "certify", str(path))
+        assert_clean_failure(code, stdout, stderr)
+        assert "integers or 'p/q' strings, not the JSON number" in stderr
+
+
 def test_dual_round_trip(tmp_path, capsys):
     strange = write_matrix(tmp_path, "s.json", H.strange3())
     code, stdout, _ = run_cli(capsys, "dual", strange)
@@ -281,6 +290,19 @@ def test_matrix_oracle_spec(tmp_path, capsys):
                               "--oracle", f"matrix:{mfile}", "--y0", str(y0))
     assert code == 0
     assert len(stdout.strip().splitlines()) == 4
+
+
+def test_matrix_oracle_non_finite_entry_is_malformed(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    mfile = tmp_path / "m.json"
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[0.5, 0.5]")
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        mfile.write_text(f"[[0.5, 0.1], [{bad}, 0.2]]")
+        code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
+                                       "--oracle", f"matrix:{mfile}", "--y0", str(y0))
+        assert_clean_failure(code, stdout, stderr)
+        assert "entry (2,1)" in stderr and "not a finite number" in stderr
 
 
 def test_deeply_nested_json_is_malformed(tmp_path, capsys):

@@ -76,6 +76,12 @@ def test_linear_oracle_rejects_expansive_map_power_iteration_misses():
     H.linear_oracle(np.array([[0.5, -0.5], [-0.5, 0.5]]))  # norm 1 passes
 
 
+def test_linear_oracle_rejects_non_finite_entries_by_position():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"entry \(1,2\) is -?(nan|inf), not a finite number"):
+            H.linear_oracle(np.array([[0.5, bad], [0.1, 0.2]]))
+
+
 def test_linear_oracle_identity_all_fixed():
     traj = H.run(H.ohm(4), H.linear_oracle(np.eye(3)), np.array([1.0, 2.0, -1.0]))
     assert all(r == 0.0 for r in traj.residuals_sq)
