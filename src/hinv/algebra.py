@@ -52,10 +52,11 @@ class HMatrix:
     (zero rows) is allowed and represents the do-nothing method.
 
     The matrix is immutable, so the per-column prefix sums are built once at
-    construction and every :meth:`column_sum` is a difference of two of them.
+    construction and every :meth:`column_sum` is a difference of two of them;
+    ``_certificates`` memoizes :func:`hinv.certify.certificates` (None until set).
     """
 
-    __slots__ = ("_rows", "_prefix")
+    __slots__ = ("_rows", "_prefix", "_certificates")
 
     def __init__(self, rows):
         built = []
@@ -70,6 +71,7 @@ class HMatrix:
             list(accumulate((row[j] for row in built[j:]), initial=Fraction(0)))
             for j in range(len(built))
         ]
+        self._certificates = None
 
     @property
     def n_minus_1(self) -> int:

@@ -201,7 +201,10 @@ def certificates(h: HMatrix) -> CertificateSet:
     Both come from the signed binomial transforms v_j = B q_j of the columns
     q_j = (0, Q(1, j), ..., Q(N-j, j)): K = B^T B gives lambda*_{k,j} =
     -N <v_j, v_k> for k < N, and B e_0 = e_0 gives lambda*_{N,j} = -N (v_j)_0.
+    The set is memoized on the (immutable) matrix, so a second call is free.
     """
+    if h._certificates is not None:
+        return h._certificates
     report = invariance_report(h)
     if not report.is_invariant():
         raise InvarianceError(report)
@@ -213,7 +216,8 @@ def certificates(h: HMatrix) -> CertificateSet:
     c = gram(v)
     lam = {(k, j): -n * (c[j - 1][k - 1] if k < n else v[j - 1][0])
            for k in range(2, n + 1) for j in range(1, k)}
-    return CertificateSet(n, lam)
+    h._certificates = CertificateSet(n, lam)
+    return h._certificates
 
 
 def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:

@@ -21,6 +21,7 @@ coloring of stderr summaries.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -170,8 +171,6 @@ def cmd_falsify(args):
         _say("invariance already violated: the cyclic operator exceeds the bound "
              f"by {payload['excess']}; no perturbation needed", "yellow")
         return EXIT_FALSIFY_INVARIANCE
-    # verdict.negative is sorted, so its first pair is suboptimality_witness's
-    # default; passing it spares that function a second certification.
     i0, j0 = args.pair if args.pair else verdict.negative[0]
     try:
         witness = worstcase.suboptimality_witness(h, i0, j0)
@@ -222,6 +221,9 @@ def cmd_simulate(args):
             y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq is not None else 1.0)
         else:
             y0 = np.array(_read_json(args.y0), dtype=float)
+            for i, x in enumerate(y0.flat, 1):
+                if not math.isfinite(x):
+                    raise ValueError(f"--y0 entry {i} is {x}; every entry must be finite")
         with np.errstate(over="ignore"):  # an overflow is reported below as a non-finite start
             r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
         if not 0 < r_sq < math.inf:
@@ -357,6 +359,7 @@ def cmd_oracle_check(args):
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: prog is fixed and no default is mutable
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hinv",

@@ -4,7 +4,6 @@ alternating-binomial kernel K[m][n] = (-1)^(m+n) C(m+n, m) as K = B^T B
 (Vandermonde), so each congruence x K y is the dot product of Bx and By."""
 
 import math
-from fractions import Fraction
 
 
 def binom(n: int, k: int) -> int:
@@ -32,21 +31,22 @@ def signed_binomial_transform(row) -> list:
     """B row, i.e. v_i = sum_{m >= i} (-1)^(m+i) C(m, i) row[m] for i < len(row).
 
     B is unit upper triangular, so zero-padding a row zero-pads its transform.
+    A row of ints has an int transform.
     """
     return [
-        sum((signed_binomial(i, m) * row[m] for m in range(i, len(row)) if row[m]), Fraction(0))
+        sum((signed_binomial(i, m) * row[m] for m in range(i, len(row)) if row[m]), 0)
         for i in range(len(row))
     ]
 
 
-def dot(u, v) -> Fraction:
-    """Exact inner product; the shorter vector reads as zero-padded."""
-    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+def dot(u, v):
+    """Exact inner product, an int for int vectors; the shorter vector reads as zero-padded."""
+    return sum((x * y for x, y in zip(u, v) if x and y), 0)
 
 
 def gram(vectors):
     """The symmetric matrix of pairwise :func:`dot` products."""
-    out = [[Fraction(0)] * len(vectors) for _ in vectors]
+    out = [[0] * len(vectors) for _ in vectors]
     for a, u in enumerate(vectors):
         for b in range(a + 1):
             out[a][b] = out[b][a] = dot(u, vectors[b])

@@ -16,8 +16,11 @@ fixed-step method:
    delta is built by exact projections so that every monotonicity trace
    stays zero except the one at (i0, j0), positive-definiteness is
    restored at first order, and the terminal entry strictly exceeds
-   1/N^2.  Any operator interpolating the perturbed data (one exists by
-   nonexpansive extension of the finite data) then beats the optimal
+   1/N^2.  The projections run in the (N+1)-dimensional complement of the
+   constraint span, whose explicit basis comes from a forward recursion
+   over the iterates, and the defining traces are re-checked exactly on
+   the result.  Any operator interpolating the perturbed data (one exists
+   by nonexpansive extension of the finite data) then beats the optimal
    rate, refuting the matrix.
 
 Everything except the final float emission (:func:`witness_vectors`) is
@@ -158,10 +161,14 @@ def gram_g0(h: HMatrix):
     resolvent increments, (1/N) sum_{m,n} (-1)^(m+n) C(m+n, m) P(i-1, m) P(j-1, n);
     the border is their product with y_0 - y_star, (1/N) <B p_t, 1> =
     (1/N) P(t, 0) = 1/N as 1^T B = e_0^T; the corner is |1|^2 / N = 1.
+    The table is scaled to integers by den, the lcm of its denominators, and
+    the ones vector by den too, so the transforms and their Gram matrix stay
+    integer and each entry becomes one Fraction over N den^2.
     """
     n = h.n
-    vectors = [signed_binomial_transform(row) for row in _p_table(h, n - 1)]
-    return [[x / n for x in row] for row in gram(vectors + [[Fraction(1)] * n])]
+    rows, den = integer_rows(_p_table(h, n - 1))
+    vectors = [signed_binomial_transform(row) for row in rows] + [[den] * n]
+    return [[Fraction(x, n * den * den) for x in row] for row in gram(vectors)]
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,11 @@ class ConstraintBasis:
 
     ``c``, ``d``, ``e`` are the corner normalizer and the two terminal-entry
     selectors used by the perturbation construction.  For a symmetric X the
-    trace of X against sym(u v^T) is u^T X v, and two constraints meet in
-        <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p)) / 2,
-    so nothing here needs the dense matrices.  The entrywise dense
-    reference is :func:`hinv.oracles.dense_constraints`.
+    trace of X against sym(u v^T) is u^T X v, so the traces and re-checks
+    never need the dense matrices, and the heads of the x_i are the
+    recursion coefficients of the complement basis
+    (:func:`_complement_basis`).  The entrywise dense reference is
+    :func:`hinv.oracles.dense_constraints`.
     """
 
     n: int
@@ -199,40 +207,11 @@ def _integer_pairs(pairs):
     """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
 
     Returns (L, scaled pairs (U, V, nonzero entries of V)); every v has at
-    most two nonzero entries.  2 L^4 <sym(u v^T), sym(p q^T)> is then the
-    integer :func:`_integer_pair_inner` of the scaled pairs.
+    most two nonzero entries, so :func:`_integer_pair_trace` reads only those.
     """
     vecs, scale = integer_rows([vec for pair in pairs for vec in pair])
     scaled = [(u, v, [(i, x) for i, x in enumerate(v) if x]) for u, v in zip(vecs[::2], vecs[1::2])]
     return scale, scaled
-
-
-def _integer_pair_inner(p, q):
-    """(U.S)(V.T) + (U.T)(V.S) for scaled pairs p = (U, V, ...) and q = (S, T, ...)."""
-    u, v, v_nz = p
-    s, t, t_nz = q
-    us = sum(map(operator.mul, u, s))
-    vt = sum(v[i] * x for i, x in t_nz)
-    ut = sum(u[i] * x for i, x in t_nz)
-    vs = sum(s[i] * x for i, x in v_nz)
-    return us * vt + ut * vs
-
-
-def _integer_sym_combination(terms, dim):
-    """M + M^T for M = sum_k c_k U_k V_k^T, over terms (c_k, scaled pair) with integer c_k.
-
-    For pairs scaled by L this is 2 L^2 sym(sum_k c_k u_k v_k^T).  Each V has
-    at most two nonzero entries, so M is filled column by column.
-    """
-    cols = [[0] * dim for _ in range(dim)]
-    for c, (u, _, v_nz) in terms:
-        if c:
-            for j, vj in v_nz:
-                col, cv = cols[j], c * vj
-                for i, ui in enumerate(u):
-                    if ui:
-                        col[i] += cv * ui
-    return [[x + y for x, y in zip(row, col)] for row, col in zip(cols, zip(*cols))]
 
 
 def _integer_pair_trace(x, p):
@@ -327,96 +306,119 @@ def adjugate_spotcheck(h: HMatrix) -> bool:
     return prod != 0 and mat_det(minor) == prod / Fraction(n ** (n - 2))
 
 
-def _project_off_span(targets, span, scale):
-    """Project each target off the span: coefficients, and the projected targets' inner products.
+def _complement_basis(basis: ConstraintBasis, i0: int, j0: int):
+    """Integer basis X_1..X_{N+1} of S_perp, the trace-orthogonal complement of S.
 
-    Targets and span members are constraint pairs scaled to integers by one
-    L = ``scale`` (:func:`_integer_pairs`).  Each entry of the span's
-    trace-Gram matrix is then an integer dot product, 2 L^4 times the trace
-    inner product, which leaves the solution of the normal equations
-    unchanged.  They are reduced once, with one right-hand side per target;
-    the spanning set may be linearly dependent (free coefficients are zero).
-    Returns (coeffs, inner): the coefficient vector c_t of each target, so
-    T' = T - sum_p c_t[p] p, and inner[s][t] = <T'_s, T'_t>, which equals
-    <T_s, T_t> - c_s . <span, T_t> because T'_s is orthogonal to the span;
-    it is computed on the scaled integers and divided by 2 L^4.
+    S is every monotonicity constraint except (i0, j0), every fixed-point
+    constraint and the corner.  With x_i = e_{N+1} - e_i - sum_{l<i} U_{l,i} e_l
+    the iterates, every X orthogonal to S is X(theta) = [[A, d], [d^T, 0]]
+    for theta = (d_1..d_N, tau), where the symmetric A solves, row by row
+    (1-based),
+        2 A_ij = d_i + d_j - tau [(i,j) = (i0,j0)]
+                 - sum_{l<i} U_{l,i} A_{l,j} - sum_{l<j} U_{l,j} A_{l,i}   (j < i),
+        A_ii   = d_i - sum_{l<i} U_{l,i} A_{l,i},
+    and its trace against the constraint at (i0, j0) is -tau.  X(theta) = 0
+    forces theta = 0, so X_k = X(e_k) is a basis of S_perp.  On integers:
+    with L the lcm of the U denominators and s = 2L, s^(i+j-2) A_ij is an
+    integer linear form in theta, and each returned matrix is s^(2N-2) X_k.
     """
-    gram = [[0] * len(span) for _ in span]
-    for k, p in enumerate(span):
-        for m, q in enumerate(span[: k + 1]):
-            gram[k][m] = gram[m][k] = _integer_pair_inner(p, q)
-    rhs = [[_integer_pair_inner(p, t) for t in targets] for p in span]
-    coeffs = list(zip(*solve_consistent(gram, rhs)))
-    inner = [
-        [(_integer_pair_inner(s, t) - dot(c, r)) / (2 * scale**4) for t, r in zip(targets, zip(*rhs))]
-        for s, c in zip(targets, coeffs)
+    n = basis.n
+    heads, big_l = integer_rows([basis.b_pairs[i][0][: i - 1] for i in range(1, n + 1)])
+    s = 2 * big_l
+    # heads[i][l] = -L U_{l,i} (0-based); w[i] lists (-L U_{l,i} s^(i-l-1), l) where nonzero.
+    w = [[(x * s ** (i - l - 1), l) for l, x in enumerate(row) if x] for i, row in enumerate(heads)]
+    # a[i][j][k] = s^(i+j) A_ij (0-based) at theta = e_k.
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            vec = [0] * (n + 1)
+            if j < i:
+                lead = big_l * s ** (i + j - 1)
+                vec[i] = vec[j] = lead
+                if (i, j) == (i0 - 1, j0 - 1):
+                    vec[n] = -lead
+                terms = [(c, a[l][j] if l >= j else a[j][l]) for c, l in w[i]]
+                terms += [(c, a[i][l]) for c, l in w[j]]
+            else:
+                vec[i] = s ** (2 * i)
+                terms = [(2 * c, a[i][l]) for c, l in w[i]]
+            for c, other in terms:
+                vec = [x + c * y for x, y in zip(vec, other)]
+            a[i][j] = vec
+    top = 2 * n - 2
+    return [
+        [[a[max(i, j)][min(i, j)][k] * s ** (top - i - j) for j in range(n)] + [s ** top * (i == k)]
+         for i in range(n)] + [[s ** top * (j == k) for j in range(n)] + [0]]
+        for k in range(n + 1)
     ]
-    return coeffs, inner
 
 
 def build_perturbation(h: HMatrix, i0: int, j0: int):
     """Exact perturbation direction activating the negative certificate at (i0, j0).
 
-    With the constraint pairs of the method, let S be all monotonicity
-    constraints except the one at (i0, j0), together with the corner
-    normalizer.  The direction is
+    Let S be all monotonicity constraints except the one at (i0, j0), the
+    fixed-point constraints and the corner normalizer.  The direction is
         delta = proj_perp(D, span(S + [E])) + proj_perp(E, span(S + [D])),
-    where D and E select the terminal entries.  Every trace-Gram entry is
-    the rank-2 identity <sym(u v^T), sym(p q^T)> = ((u.p)(v.q) + (u.q)(v.p))/2
-    on the pairs, and one elimination of the Gram of S projects D and E
-    together to D' and E'.  Adding the last span member is an exact
-    rank-one update: proj_perp(D, span(S + [E])) = D' - f E' with
-    f = <D',E'>/<E',E'> (f = 0 when E' = 0), and symmetrically E' - g D'.
-    Projections are unique, so this equals the dense normal-equation route
-    exactly.
+    where D and E select the terminal entries.  S has N(N+1)/2 members, but
+    its complement S_perp has dimension N+1 and the explicit basis of
+    :func:`_complement_basis`, so one solve of that basis's (N+1)x(N+1)
+    Gram matrix, with the right-hand sides <X_k, D> = X_k[N][N] -
+    (2/N) X_k[N][N+1] and <X_k, E> = X_k[N][N], projects D and E onto
+    S_perp as D' and E'.  Adding the last span member is an exact rank-one
+    update: proj_perp(D, span(S + [E])) = D' - f E' with f = <D',E'>/<E',E'>
+    (f = 0 when E' = 0), and symmetrically E' - g D'.  Projections are
+    unique, so this equals the dense normal-equation route exactly.
 
-    The direction is built over the integers.  Every constraint pair is
-    scaled by one L, which serves the projection and the re-checks alike.
-    The coefficients of (1 - g) D' + (1 - f) E' on D, E and S are scaled by
-    the lcm of their denominators, Lambda, and summed into one integer
-    matrix M + M^T = 2 Lambda L^2 delta, which becomes a Fraction matrix
-    once.  The kernel structure of the constraint family makes this
-    succeed exactly when the certificate at (i0, j0) is negative; the five
-    defining trace conditions are re-checked exactly before returning, as
-    the integer U^T (M + M^T) V on the scaled pairs, which is
-    2 Lambda L^4 u^T delta v and so has its sign.
+    The basis, its Gram matrix and the combination are integers, and the
+    direction becomes a Fraction matrix once.  The construction succeeds
+    exactly when the certificate at (i0, j0) is negative.  The five defining
+    trace conditions are re-checked exactly before returning, as U^T M V
+    for the integer direction M on the constraint pairs scaled to integers.
+    delta lies in the span of the basis whatever its coefficients, so these
+    checks guard the basis: a wrong recursion entry leaves a nonzero trace.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
         raise ValueError(f"({i0},{j0}) is not a strict lower-triangular pair for horizon {n}")
-    lam = certificates(h)  # raises InvarianceError off the level set
+    lam = certificates(h)  # raises InvarianceError off the level set; memoized on h
     if lam.value(i0, j0) >= 0:
         raise ValueError(f"no violation at ({i0},{j0}): certificate is {lam.value(i0, j0)}")
 
     basis = constraint_matrices(h)
-    scale, (d, e, c, *rest) = _integer_pairs(
+    mats = _complement_basis(basis, i0, j0)
+    flat = [[x for row in m for x in row] for m in mats]
+    gram = [[sum(map(operator.mul, f, g)) for g in flat] for f in flat]  # Frobenius
+    # N <X_k, D> and N <X_k, E>, so the solution is N times the coefficients
+    rhs = [[n * m[n - 1][n - 1] - 2 * m[n - 1][n], n * m[n - 1][n - 1]] for m in mats]
+    cd, ce = zip(*solve_consistent(gram, rhs))
+    rhs_d, rhs_e = zip(*rhs)
+    dd, de, ee = dot(cd, rhs_d), dot(cd, rhs_e), dot(ce, rhs_e)  # N^2 <D',D'>, <D',E'>, <E',E'>
+    wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
+    we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
+    (ints,), den = integer_rows([[wd * x + we * y for x, y in zip(cd, ce)]])
+    scaled = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(n + 1)]
+              for r in range(n + 1)]  # N den delta
+
+    _, (d, e, c, *rest) = _integer_pairs(
         [basis.d_pair, basis.e_pair, basis.c_pair, *basis.a_pairs.values(), *basis.b_pairs.values()]
     )
     a = dict(zip(basis.a_pairs, rest))  # keys in sorted order
     b = rest[len(a):]  # i = 1..N
-    shared = [pair for key, pair in a.items() if key != (i0, j0)] + b + [c]
-    (cd, ce), ((dd, de), (_, ee)) = _project_off_span([d, e], shared, scale)
-    wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
-    we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
-    coeffs = [wd, we] + [-wd * x - we * y for x, y in zip(cd, ce)]
-    (ints,), den = integer_rows([coeffs])
-    twice_m = _integer_sym_combination(zip(ints, [d, e] + shared), n + 1)
-
     for key, pair in a.items():
-        tr = _integer_pair_trace(twice_m, pair)
+        tr = _integer_pair_trace(scaled, pair)
         if key == (i0, j0):
             if tr <= 0:
                 raise InternalConsistencyError("activated trace is not strictly positive")
         elif tr != 0:
             raise InternalConsistencyError(f"monotonicity trace at {key} not annihilated")
     for i, pair in enumerate(b, 1):
-        if _integer_pair_trace(twice_m, pair) != 0:
+        if _integer_pair_trace(scaled, pair) != 0:
             raise InternalConsistencyError(f"fixed-point trace at {i} not annihilated")
-    if _integer_pair_trace(twice_m, c) != 0:
+    if _integer_pair_trace(scaled, c) != 0:
         raise InternalConsistencyError("corner entry of the direction is nonzero")
-    if _integer_pair_trace(twice_m, d) <= 0 or _integer_pair_trace(twice_m, e) <= 0:
+    if _integer_pair_trace(scaled, d) <= 0 or _integer_pair_trace(scaled, e) <= 0:
         raise InternalConsistencyError("terminal-entry selectors not strictly positive")
-    return [[Fraction(x, 2 * den * scale ** 2) for x in row] for row in twice_m]
+    return [[Fraction(x, n * den) for x in row] for row in scaled]
 
 
 def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = None) -> GramWitness:

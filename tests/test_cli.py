@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,18 @@ def test_simulate_wrong_dimension_start_is_malformed(tmp_path, capsys):
                                   "--oracle", "rotation:0.3", "--y0", str(y0)))
 
 
+def test_simulate_non_finite_start_is_malformed_whatever_r_sq(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    y0 = tmp_path / "y0.json"
+    for text, entry in (("[NaN, 0.5]", "1 is nan"), ("[0.5, -Infinity]", "2 is -inf")):
+        y0.write_text(text)
+        for r_sq in ((), ("--r-sq", "1")):
+            code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
+                                           "--oracle", "rotation:0.5", "--y0", str(y0), *r_sq)
+            assert_clean_failure(code, stdout, stderr)
+            assert f"--y0 entry {entry}" in stderr
+
+
 def test_simulate_negative_steps_is_malformed(tmp_path, capsys):
     path = write_matrix(tmp_path, "o.json", H.ohm(4))
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--steps", "-1"))
@@ -373,3 +389,30 @@ def test_json_integers_beyond_the_int_str_digit_limit(tmp_path, capsys):
         assert "set_int_max_str_digits" not in stderr
         assert (code, stdout) == run_cli(capsys, command, str(as_str))[:2]
         assert code != 1
+
+
+def test_parser_reused_in_one_process_matches_separate_runs(tmp_path, capsys):
+    # build_parser is cached per process: a failing call, in argparse or in the
+    # command, leaves no state behind for the good calls that follow
+    optimal = write_matrix(tmp_path, "o.json", H.ohm(5))
+    violated = write_matrix(tmp_path, "v.json", H.h_dual(H.strange3()))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": [["1/2", "1"]]}')
+    calls = [
+        ("certify",),
+        ("certify", str(bad)),
+        ("certify", optimal),
+        ("falsify", violated, "--pair", "4", "2"),
+        ("sweep", "--family", "ohm", "--n-range", "2:5"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "hinv.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits on a bad command line
+            code = exc.code
+        captured = capsys.readouterr()
+        separate = (proc.returncode, proc.stdout, proc.stderr)
+        assert (code, captured.out, captured.err) == separate, argv

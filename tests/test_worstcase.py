@@ -265,13 +265,7 @@ def test_rank2_pair_identities_match_dense_traces():
     # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and sym(uv^T) itself, over
     # integers after one common scaling by L, and <X, sym(uv^T)> = u^T X v, against
     # the entrywise dense constraints of the oracle
-    from hinv.worstcase import (
-        _integer_pair_inner,
-        _integer_pair_trace,
-        _integer_pairs,
-        _integer_sym_combination,
-        _pair_trace,
-    )
+    from hinv.worstcase import _integer_pair_trace, _integer_pairs, _pair_trace
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         basis = constraint_matrices(h)
@@ -284,11 +278,9 @@ def test_rank2_pair_identities_match_dense_traces():
         scale, scaled = _integer_pairs(pairs)
         for p, sp, pm in zip(pairs, scaled, mats):
             assert pm == [list(row) for row in zip(*pm)]
-            twice = _integer_sym_combination([(1, sp)], h.n + 1)
-            assert [[F(x, 2 * scale ** 2) for x in row] for row in twice] == pm
+            twice = [[2 * scale ** 2 * x for x in row] for row in pm]
             assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
             for sq, qm in zip(scaled, mats):
-                assert F(_integer_pair_inner(sp, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
                 assert F(_integer_pair_trace(twice, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
 
 
@@ -302,25 +294,105 @@ def test_build_perturbation_errors():
 
 
 def test_build_perturbation_integer_rechecks_catch_a_wrong_coefficient(monkeypatch):
-    # one wrong combination coefficient leaves a nonzero trace, which the integer
-    # re-checks report
+    # delta lies in the span of the complement basis whatever its coefficients, so
+    # the coefficient to skew is one entry of one basis matrix: it leaves a nonzero
+    # trace, which the integer re-checks report
     import hinv.worstcase as wc
 
-    exact = wc._project_off_span
+    exact = wc._complement_basis
     h = H.h_dual(H.strange3())
-    for target, index in ((0, 0), (1, -1), (0, 7)):
+    for k, r, c in ((0, 0, 0), (4, 3, 1), (2, 2, 4)):
 
-        def skewed(targets, span, scale, target=target, index=index):
-            coeffs, inner = exact(targets, span, scale)
-            coeffs = [list(c) for c in coeffs]
-            coeffs[target][index] += F(1, 3)
-            return coeffs, inner
+        def skewed(basis, i0, j0, k=k, r=r, c=c):
+            mats = exact(basis, i0, j0)
+            mats[k][r][c] += 1
+            mats[k][c][r] += r != c
+            return mats
 
-        monkeypatch.setattr(wc, "_project_off_span", skewed)
+        monkeypatch.setattr(wc, "_complement_basis", skewed)
         with pytest.raises(H.InternalConsistencyError):
             H.build_perturbation(h, 4, 2)
-    monkeypatch.setattr(wc, "_project_off_span", exact)
+    monkeypatch.setattr(wc, "_complement_basis", exact)
     assert H.build_perturbation(h, 4, 2) == perturbation_by_normal_equations(h, 4, 2)
+
+
+def test_complement_basis_is_orthogonal_to_the_span_and_independent():
+    # each X_k is trace-orthogonal to every member of S (all monotonicity matrices
+    # but (i0, j0), the fixed-point matrices and the corner) against the entrywise
+    # dense constraints; only X_{N+1} (tau) meets the constraint at (i0, j0), with
+    # a negative trace; and the Gram matrix of the basis is nonsingular
+    from hinv.worstcase import _complement_basis
+
+    h = H.h_dual(H.strange3())
+    cases = [(h, pair) for pair in H.certificates(h).negative_pairs()]
+    rng = random.Random(77)
+    for n in range(4, 11):
+        v = random_certificate_violating_h(rng, n)
+        cases.append((v, H.certificates(v).negative_pairs()[0]))
+    for h, pair in cases:
+        n = h.n
+        mats = _complement_basis(constraint_matrices(h), *pair)
+        assert len(mats) == n + 1
+        a, b, c, _, _ = dense_constraints(h)
+        span = [m for key, m in a.items() if key != pair] + list(b.values()) + [c]
+        for k, x in enumerate(mats):
+            assert x == transpose(x)
+            assert all(_dense_trace_inner(x, m) == 0 for m in span), (n, pair, k)
+            activated = _dense_trace_inner(x, a[pair])
+            assert (activated < 0) if k == n else (activated == 0), (n, pair, k)
+        gram = [[_dense_trace_inner(x, y) for y in mats] for x in mats]
+        assert mat_det(gram) != 0, (n, pair)
+
+
+def _span_route_perturbation(h, i0, j0):
+    """The direction by projecting the selectors off span(S) with S's own trace-Gram.
+
+    The route that preceded the complement basis, kept here as a reference:
+    constraint pairs scaled to integers, one elimination of the
+    N(N+1)/2-member span's Gram matrix for both selectors, the rank-one
+    update for the last member, and the dense sum of the combination.
+    """
+    from operator import mul
+
+    from hinv.exactlinalg import integer_rows, solve_consistent
+    from hinv.worstcase import _integer_pairs
+
+    def inner(p, q):
+        (u, v, _), (s, t, _) = p, q
+        return sum(map(mul, u, s)) * sum(map(mul, v, t)) + sum(map(mul, u, t)) * sum(map(mul, v, s))
+
+    basis = constraint_matrices(h)
+    scale, (d, e, c, *rest) = _integer_pairs(
+        [basis.d_pair, basis.e_pair, basis.c_pair, *basis.a_pairs.values(), *basis.b_pairs.values()]
+    )
+    a = dict(zip(basis.a_pairs, rest))
+    shared = [pair for key, pair in a.items() if key != (i0, j0)] + rest[len(a):] + [c]
+    gram = [[inner(p, q) for q in shared] for p in shared]
+    rhs = [[inner(p, t) for t in (d, e)] for p in shared]
+    cd, ce = zip(*solve_consistent(gram, rhs))
+    (dd, de), (_, ee) = [
+        [F(inner(s, t) - sum(map(mul, cs, col)), 2 * scale ** 4) for t, col in zip((d, e), zip(*rhs))]
+        for s, cs in zip((d, e), (cd, ce))
+    ]
+    wd = 1 - (de / dd if dd else 0)
+    we = 1 - (de / ee if ee else 0)
+    coeffs = [wd, we] + [-wd * x - we * y for x, y in zip(cd, ce)]
+    (ints,), den = integer_rows([coeffs])
+    dim = h.n + 1
+    m = [[0] * dim for _ in range(dim)]
+    for k, (u, v, _) in zip(ints, [d, e] + shared):
+        for r in range(dim):
+            for col in range(dim):
+                m[r][col] += k * (u[r] * v[col] + v[r] * u[col])
+    return [[F(x, 2 * den * scale ** 2) for x in row] for row in m]
+
+
+def test_build_perturbation_equals_the_span_route_at_larger_horizons():
+    rng = random.Random(712)
+    for n in range(7, 13):
+        h = random_certificate_violating_h(rng, n)
+        pair = H.certificates(h).negative_pairs()[0]
+        assert H.build_perturbation(h, *pair) == _span_route_perturbation(h, *pair), n
 
 
 def _check_witness(h, w):
@@ -386,7 +458,7 @@ def test_witness_random_violating_population():
 
 def test_witness_random_violating_large_horizons():
     rng = random.Random(1012)
-    for n in (10, 11, 12):
+    for n in (10, 11, 12, 13, 14):
         h = random_certificate_violating_h(rng, n)
         _check_witness(h, H.suboptimality_witness(h))
 
