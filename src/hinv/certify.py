@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import HMatrix, _q_table, as_rational, p_invariant
-from .combinatorics import binom, gram, signed_binomial, signed_binomial_transform
+from .combinatorics import binom, gram, integer_rows, signed_binomial, signed_binomial_transform
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INVARIANCE_VIOLATED = "invariance_violated"
@@ -62,10 +62,7 @@ class CertificateSet:
     def __init__(self, n: int, table):
         if n < 1:
             raise ValueError("horizon must be at least 1")
-        lam = {}
-        for k in range(2, n + 1):
-            for j in range(1, k):
-                lam[(k, j)] = Fraction(0)
+        lam = {(k, j): Fraction(0) for k in range(2, n + 1) for j in range(1, k)}
         for (k, j), raw in dict(table).items():
             if (k, j) not in lam:
                 raise ValueError(f"({k},{j}) is not a strict lower-triangular pair for n={n}")
@@ -201,7 +198,9 @@ def certificates(h: HMatrix) -> CertificateSet:
     Both come from the signed binomial transforms v_j = B q_j of the columns
     q_j = (0, Q(1, j), ..., Q(N-j, j)): K = B^T B gives lambda*_{k,j} =
     -N <v_j, v_k> for k < N, and B e_0 = e_0 gives lambda*_{N,j} = -N (v_j)_0.
-    The set is memoized on the (immutable) matrix, so a second call is free.
+    Each column is scaled to integers by the lcm d_j of its denominators, so
+    B and the Gram matrix run on ints and each lambda is one Fraction, over
+    d_j d_k (d_j for k = N).  The set is memoized on the (immutable) matrix.
     """
     if h._certificates is not None:
         return h._certificates
@@ -212,9 +211,11 @@ def certificates(h: HMatrix) -> CertificateSet:
     if n == 1:
         return CertificateSet(1, {})
 
-    v = [signed_binomial_transform([Fraction(0)] + col) for col in _q_table(h, n - 1)]
+    cols = [integer_rows([[0] + col]) for col in _q_table(h, n - 1)]
+    v = [signed_binomial_transform(col) for (col,), _ in cols]
+    dens = [d for _, d in cols] + [1]  # dens[n - 1] = 1 reads lambda_{N,j} over d_j alone
     c = gram(v)
-    lam = {(k, j): -n * (c[j - 1][k - 1] if k < n else v[j - 1][0])
+    lam = {(k, j): Fraction(-n * (c[j - 1][k - 1] if k < n else v[j - 1][0]), dens[j - 1] * dens[k - 1])
            for k in range(2, n + 1) for j in range(1, k)}
     h._certificates = CertificateSet(n, lam)
     return h._certificates

@@ -1,7 +1,8 @@
 """Exact binomial coefficients, including the generalized negative-argument case,
 and the signed binomial matrix B[i][m] = (-1)^(m+i) C(m, i).  B factors the
 alternating-binomial kernel K[m][n] = (-1)^(m+n) C(m+n, m) as K = B^T B
-(Vandermonde), so each congruence x K y is the dot product of Bx and By."""
+(Vandermonde), so each congruence x K y is the dot product of Bx and By;
+:func:`integer_rows` lets the transforms and Gram matrices run on ints."""
 
 import math
 
@@ -51,3 +52,11 @@ def gram(vectors):
         for b in range(a + 1):
             out[a][b] = out[b][a] = dot(u, vectors[b])
     return out
+
+
+def integer_rows(rows):
+    """Rows of ints and Fractions times den, the lcm of their denominators: (new integer rows, den)."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    if den == 1:  # the numerators, with no multiply pass
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den

@@ -14,6 +14,8 @@ module.
 import math
 from fractions import Fraction
 
+from .combinatorics import integer_rows
+
 
 class SingularMatrixError(ValueError):
     """Square system without a unique solution."""
@@ -21,12 +23,6 @@ class SingularMatrixError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """Linear system that admits no solution at all."""
-
-
-def integer_rows(rows):
-    """Rows of ints and Fractions times den, the lcm of their denominators: (integer rows, den)."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def mat_det(a) -> Fraction:

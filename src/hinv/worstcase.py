@@ -33,11 +33,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
-from .combinatorics import dot, gram, signed_binomial_transform
-from .exactlinalg import integer_rows, leading_principal_minors, mat_det, solve_consistent
+from .combinatorics import dot, gram, integer_rows, signed_binomial_transform
+from .exactlinalg import leading_principal_minors, mat_det, solve_consistent
 
 
 @dataclass(frozen=True)
@@ -191,33 +192,21 @@ class ConstraintBasis:
     trace of X against sym(u v^T) is u^T X v, so the traces and re-checks
     never need the dense matrices, and the heads of the x_i are the
     recursion coefficients of the complement basis
-    (:func:`_complement_basis`).  The entrywise dense reference is
-    :func:`hinv.oracles.dense_constraints`.
+    (:func:`_complement_basis`).  The pairs ``a`` are built from ``b`` on
+    first read; the witness re-checks need only the iterates
+    (:func:`_defining_traces`).  The dense reference is :func:`hinv.oracles.dense_constraints`.
     """
 
     n: int
-    a_pairs: dict
     b_pairs: dict
     c_pair: tuple
     d_pair: tuple
     e_pair: tuple
 
-
-def _integer_pairs(pairs):
-    """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
-
-    Returns (L, scaled pairs (U, V, nonzero entries of V)); every v has at
-    most two nonzero entries, so :func:`_integer_pair_trace` reads only those.
-    """
-    vecs, scale = integer_rows([vec for pair in pairs for vec in pair])
-    scaled = [(u, v, [(i, x) for i, x in enumerate(v) if x]) for u, v in zip(vecs[::2], vecs[1::2])]
-    return scale, scaled
-
-
-def _integer_pair_trace(x, p):
-    """U^T x V for a symmetric integer matrix x and a scaled pair p = (U, V, nonzeros of V)."""
-    u, _, v_nz = p
-    return sum(vj * sum(map(operator.mul, u, x[j])) for j, vj in v_nz)
+    @cached_property
+    def a_pairs(self):
+        return {(i, j): tuple([p - q for p, q in zip(u, v)] for u, v in zip(self.b_pairs[i], self.b_pairs[j]))
+                for i in range(2, self.n + 1) for j in range(1, i)}
 
 
 def _pair_trace(x, pair):
@@ -236,33 +225,16 @@ def constraint_matrices(h: HMatrix) -> ConstraintBasis:
         return vec
 
     # x_i = y_{i-1} - g_i with y_i = e_{N+1} - sum_j (2 * column sums) e_j.
-    xs = {}
+    b = {}
     y = basis_vec(dim)
     for i in range(1, n + 1):
-        xs[i] = list(y)
-        xs[i][i - 1] -= 1
+        b[i] = (list(y), basis_vec(i))
+        b[i][0][i - 1] -= 1
         if i < n:
             y = [yj - 2 * hij for yj, hij in zip(y, h.rows[i - 1])] + y[i:]
-
-    a = {
-        (i, j): (
-            [xi - xj for xi, xj in zip(xs[i], xs[j])],
-            [gi - gj for gi, gj in zip(basis_vec(i), basis_vec(j))],
-        )
-        for i in range(2, n + 1)
-        for j in range(1, i)
-    }
-    b = {i: (xs[i], basis_vec(i)) for i in range(1, n + 1)}
-    d = basis_vec(n)
-    d[dim - 1] = Fraction(-2, n)
-    return ConstraintBasis(
-        n=n,
-        a_pairs=a,
-        b_pairs=b,
-        c_pair=(basis_vec(dim), basis_vec(dim)),
-        d_pair=(basis_vec(n), d),
-        e_pair=(basis_vec(n), basis_vec(n)),
-    )
+    d = basis_vec(n)[:-1] + [Fraction(-2, n)]
+    return ConstraintBasis(n, b, (basis_vec(dim), basis_vec(dim)), (basis_vec(n), d),
+                           (basis_vec(n), basis_vec(n)))
 
 
 def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
@@ -320,37 +292,58 @@ def _complement_basis(basis: ConstraintBasis, i0: int, j0: int):
     and its trace against the constraint at (i0, j0) is -tau.  X(theta) = 0
     forces theta = 0, so X_k = X(e_k) is a basis of S_perp.  On integers:
     with L the lcm of the U denominators and s = 2L, s^(i+j-2) A_ij is an
-    integer linear form in theta, and each returned matrix is s^(2N-2) X_k.
+    integer linear form in theta, and each returned matrix is s^(2N-2) X_k;
+    each power of s is computed once.
     """
     n = basis.n
     heads, big_l = integer_rows([basis.b_pairs[i][0][: i - 1] for i in range(1, n + 1)])
-    s = 2 * big_l
+    top = 2 * n - 2
+    pw = [(2 * big_l) ** k for k in range(top + 1)]  # pw[k] = s^k
     # heads[i][l] = -L U_{l,i} (0-based); w[i] lists (-L U_{l,i} s^(i-l-1), l) where nonzero.
-    w = [[(x * s ** (i - l - 1), l) for l, x in enumerate(row) if x] for i, row in enumerate(heads)]
+    w = [[(x * pw[i - l - 1], l) for l, x in enumerate(row) if x] for i, row in enumerate(heads)]
     # a[i][j][k] = s^(i+j) A_ij (0-based) at theta = e_k.
     a = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
             vec = [0] * (n + 1)
             if j < i:
-                lead = big_l * s ** (i + j - 1)
+                lead = big_l * pw[i + j - 1]
                 vec[i] = vec[j] = lead
                 if (i, j) == (i0 - 1, j0 - 1):
                     vec[n] = -lead
                 terms = [(c, a[l][j] if l >= j else a[j][l]) for c, l in w[i]]
                 terms += [(c, a[i][l]) for c, l in w[j]]
             else:
-                vec[i] = s ** (2 * i)
+                vec[i] = pw[2 * i]
                 terms = [(2 * c, a[i][l]) for c, l in w[i]]
             for c, other in terms:
                 vec = [x + c * y for x, y in zip(vec, other)]
             a[i][j] = vec
-    top = 2 * n - 2
-    return [
-        [[a[max(i, j)][min(i, j)][k] * s ** (top - i - j) for j in range(n)] + [s ** top * (i == k)]
-         for i in range(n)] + [[s ** top * (j == k) for j in range(n)] + [0]]
-        for k in range(n + 1)
-    ]
+    mats = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for i in range(n):
+        mats[i][i][n] = mats[i][n][i] = pw[top]
+        for j in range(i + 1):
+            for m, x in zip(mats, a[i][j]):
+                m[i][j] = m[j][i] = x * pw[top - i - j]
+    return mats
+
+
+def _trace_table(xs, m):
+    """T[a][b] = x_a . M[b], the trace of a symmetric M against sym(x_a e_b^T), for a, b < N."""
+    return [[dot(x, row) for row in m[: len(xs)]] for x in xs]
+
+
+def _defining_traces(xs, m):
+    """Traces (a, b, c, d, e) of a symmetric M against the constraints, for iterates xs = x_1..x_N.
+
+    With T = :func:`_trace_table` (1-based), a[(i, j)] = T_ii - T_ij - T_ji + T_jj and
+    b[i - 1] = T_ii carry the scale of xs; c = M[N+1][N+1] is the corner, and the
+    selectors are d = N <M, D> = N M[N][N] - 2 M[N][N+1] and e = <M, E> = M[N][N].
+    """
+    n = len(xs)
+    t = _trace_table(xs, m)
+    a = {(i + 1, j + 1): t[i][i] - t[i][j] - t[j][i] + t[j][j] for i in range(1, n) for j in range(i)}
+    return a, [t[i][i] for i in range(n)], m[n][n], n * m[n - 1][n - 1] - 2 * m[n - 1][n], m[n - 1][n - 1]
 
 
 def build_perturbation(h: HMatrix, i0: int, j0: int):
@@ -369,13 +362,14 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     (f = 0 when E' = 0), and symmetrically E' - g D'.  Projections are
     unique, so this equals the dense normal-equation route exactly.
 
-    The basis, its Gram matrix and the combination are integers, and the
-    direction becomes a Fraction matrix once.  The construction succeeds
-    exactly when the certificate at (i0, j0) is negative.  The five defining
-    trace conditions are re-checked exactly before returning, as U^T M V
-    for the integer direction M on the constraint pairs scaled to integers.
-    delta lies in the span of the basis whatever its coefficients, so these
-    checks guard the basis: a wrong recursion entry leaves a nonzero trace.
+    The basis, its Gram matrix and the combination are integers, read from
+    lower triangles, and the direction becomes a Fraction matrix once.  The
+    construction succeeds exactly when the certificate at (i0, j0) is
+    negative.  The five defining trace conditions are re-checked exactly on
+    the integer direction M, from one table T[a][b] = x_a . M[b] of the
+    integer iterates (:func:`_defining_traces`).  delta lies in the span of
+    the basis whatever its coefficients, so these checks guard the basis: a
+    wrong recursion entry leaves a nonzero trace.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -386,8 +380,14 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
 
     basis = constraint_matrices(h)
     mats = _complement_basis(basis, i0, j0)
-    flat = [[x for row in m for x in row] for m in mats]
-    gram = [[sum(map(operator.mul, f, g)) for g in flat] for f in flat]  # Frobenius
+    # Frobenius inner products of symmetric matrices: lower triangles, off-diagonal twice
+    lows = [[x for i, row in enumerate(m) for x in row[: i + 1]] for m in mats]
+    twice = [1 + (j < i) for i in range(n + 1) for j in range(i + 1)]
+    gram = [[0] * (n + 1) for _ in mats]
+    for k, f in enumerate(lows):
+        f = list(map(operator.mul, f, twice))
+        for l in range(k + 1):
+            gram[k][l] = gram[l][k] = sum(map(operator.mul, f, lows[l]))
     # N <X_k, D> and N <X_k, E>, so the solution is N times the coefficients
     rhs = [[n * m[n - 1][n - 1] - 2 * m[n - 1][n], n * m[n - 1][n - 1]] for m in mats]
     cd, ce = zip(*solve_consistent(gram, rhs))
@@ -396,27 +396,21 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
     we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
     (ints,), den = integer_rows([[wd * x + we * y for x, y in zip(cd, ce)]])
-    scaled = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(n + 1)]
-              for r in range(n + 1)]  # N den delta
+    low = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(r + 1)]
+           for r in range(n + 1)]  # N den delta, lower triangle
+    scaled = [row + [low[col][r] for col in range(r + 1, n + 1)] for r, row in enumerate(low)]
 
-    _, (d, e, c, *rest) = _integer_pairs(
-        [basis.d_pair, basis.e_pair, basis.c_pair, *basis.a_pairs.values(), *basis.b_pairs.values()]
-    )
-    a = dict(zip(basis.a_pairs, rest))  # keys in sorted order
-    b = rest[len(a):]  # i = 1..N
-    for key, pair in a.items():
-        tr = _integer_pair_trace(scaled, pair)
-        if key == (i0, j0):
-            if tr <= 0:
-                raise InternalConsistencyError("activated trace is not strictly positive")
-        elif tr != 0:
-            raise InternalConsistencyError(f"monotonicity trace at {key} not annihilated")
-    for i, pair in enumerate(b, 1):
-        if _integer_pair_trace(scaled, pair) != 0:
-            raise InternalConsistencyError(f"fixed-point trace at {i} not annihilated")
-    if _integer_pair_trace(scaled, c) != 0:
+    xs, _ = integer_rows([u for u, _ in basis.b_pairs.values()])
+    a, b, c, d, e = _defining_traces(xs, scaled)
+    if a.pop((i0, j0)) <= 0:
+        raise InternalConsistencyError("activated trace is not strictly positive")
+    live = [f"monotonicity trace at {key}" for key, tr in a.items() if tr]
+    live += [f"fixed-point trace at {i}" for i, tr in enumerate(b, 1) if tr]
+    if live:
+        raise InternalConsistencyError(f"{live[0]} not annihilated")
+    if c != 0:
         raise InternalConsistencyError("corner entry of the direction is nonzero")
-    if _integer_pair_trace(scaled, d) <= 0 or _integer_pair_trace(scaled, e) <= 0:
+    if d <= 0 or e <= 0:
         raise InternalConsistencyError("terminal-entry selectors not strictly positive")
     return [[Fraction(x, n * den) for x in row] for row in scaled]
 

@@ -7,6 +7,7 @@ import hinv as H
 from hinv.combinatorics import binom
 from hinv.exactlinalg import mat_det
 from hinv.oracles import (
+    random_certificate_violating_h,
     random_h,
     random_invariant_h,
     random_rational,
@@ -127,6 +128,16 @@ def test_elimination_agrees_on_random_invariant():
         n = rng.randint(2, 8)
         h = random_invariant_h(rng, n)
         assert H.solve_lambda_by_elimination(h) == H.certificates(h)
+
+
+def test_elimination_agrees_on_violators_at_larger_horizons():
+    # dense, mixed-sign certificates, where most entries of each column are nonzero
+    rng = random.Random(31)
+    for n in (10, 12, 14, 16):
+        h = random_certificate_violating_h(rng, n)
+        lam = H.certificates(h)
+        assert lam.negative_pairs() and lam.min_value() < 0 < max(v for _, v in lam.items()), n
+        assert H.solve_lambda_by_elimination(h) == lam, n
 
 
 def test_elimination_and_profile_round_trip_at_large_horizons():

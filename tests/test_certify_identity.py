@@ -6,6 +6,10 @@ its dual, one seeded ``h_from_sparsity`` matrix for each N = 11..20, and ten
 seeded ``random_h`` matrices (which violate invariance).  The digest covers
 the exit code and stdout of every run in order; certify prints exact
 rationals only, so the digest does not depend on numpy or the platform.
+
+Among certificate-violated matrices that population holds only strange3's
+dual, so a second digest covers dense, mixed-sign certificates: one seeded
+``random_certificate_violating_h`` for each N = 4..14.
 """
 
 import hashlib
@@ -15,9 +19,10 @@ import random
 import hinv as H
 from hinv import serialization as ser
 from hinv.cli import main
-from hinv.oracles import random_h
+from hinv.oracles import random_certificate_violating_h, random_h
 
 DIGEST = "15aa271b4e3b065f627bc3fb7999ec71e076a41c37fd9fa8ffc5a9cb52312dbe"
+VIOLATOR_DIGEST = "947c77668ece89a5432a56c36a871c358368c67a79278cbdaa4e59371a40987f"
 
 
 def _population():
@@ -47,3 +52,18 @@ def test_certify_output_digest(tmp_path, capsys):
     assert codes[-10:] == [2] * 10  # the random matrices are off the invariance level set
     assert codes.count(0) == len(codes) - 11  # every other member but dual strange3 is optimal
     assert digest.hexdigest() == DIGEST
+
+
+def test_certify_output_digest_on_certificate_violators(tmp_path, capsys):
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    for n in range(4, 15):
+        h = random_certificate_violating_h(rng, n)
+        signs = {v > 0 for _, v in H.certificates(h).items() if v}
+        assert signs == {True, False}, n  # mixed signs
+        path = tmp_path / f"v{n}.json"
+        path.write_text(json.dumps(ser.hmatrix_to_dict(h)))
+        code = main(["certify", str(path)])
+        assert code == 3, n
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == VIOLATOR_DIGEST

@@ -3,7 +3,8 @@
 ``sympy.polys.matrices.DomainMatrix`` over ``QQ`` computes determinants,
 reduced row echelon forms and nullspaces with its own code, so agreement
 with ``hinv.exactlinalg`` on seeded rational matrices up to n = 20 checks
-the fraction-free eliminations from outside the package.  sympy is an
+the fraction-free eliminations from outside the package.  The leading
+principal minors are checked on integer and rational matrices up to n = 12.  sympy is an
 optional test tool, not a dependency; without it this module is skipped.
 """
 
@@ -15,7 +16,12 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from hinv.exactlinalg import mat_det, mat_nullspace, solve_consistent  # noqa: E402
+from hinv.exactlinalg import (  # noqa: E402
+    leading_principal_minors,
+    mat_det,
+    mat_nullspace,
+    solve_consistent,
+)
 from hinv.oracles import random_rational  # noqa: E402
 
 QQ = sympy.QQ
@@ -62,6 +68,17 @@ def test_mat_det_matches_sympy():
         assert mat_det(a) == to_fraction(to_domain(a).det()), n
     singular = product(random_matrix(rng, 20, 19), random_matrix(rng, 19, 20))
     assert mat_det(singular) == 0 == to_fraction(to_domain(singular).det())
+
+
+def test_leading_principal_minors_match_sympy():
+    # integer matrices as the witness's PD test passes them, zeros included (row swaps),
+    # and rational ones with mixed denominators
+    rng = random.Random(89)
+    for n in range(1, 13):
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for a in (ints, random_matrix(rng, n, n)):
+            want = [to_fraction(to_domain([row[:k] for row in a[:k]]).det()) for k in range(1, n + 1)]
+            assert leading_principal_minors(a) == want, n
 
 
 def test_solve_consistent_matches_sympy_rref():

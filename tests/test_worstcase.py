@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -261,11 +262,30 @@ def test_build_perturbation_equals_dense_normal_equations():
             assert fast == perturbation_by_normal_equations(h, *pair), pair
 
 
+def _integer_pairs(pairs):
+    """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
+
+    Returns (L, scaled pairs (U, V, nonzero entries of V)); every v has at
+    most two nonzero entries, so :func:`_integer_pair_trace` reads only those.
+    """
+    from hinv.combinatorics import integer_rows
+
+    vecs, scale = integer_rows([vec for pair in pairs for vec in pair])
+    scaled = [(u, v, [(i, x) for i, x in enumerate(v) if x]) for u, v in zip(vecs[::2], vecs[1::2])]
+    return scale, scaled
+
+
+def _integer_pair_trace(x, p):
+    """U^T x V for a symmetric integer matrix x and a scaled pair p = (U, V, nonzeros of V)."""
+    u, _, v_nz = p
+    return sum(vj * sum(map(operator.mul, u, x[j])) for j, vj in v_nz)
+
+
 def test_rank2_pair_identities_match_dense_traces():
     # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and sym(uv^T) itself, over
     # integers after one common scaling by L, and <X, sym(uv^T)> = u^T X v, against
     # the entrywise dense constraints of the oracle
-    from hinv.worstcase import _integer_pair_trace, _integer_pairs, _pair_trace
+    from hinv.worstcase import _pair_trace
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         basis = constraint_matrices(h)
@@ -282,6 +302,40 @@ def test_rank2_pair_identities_match_dense_traces():
             assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
             for sq, qm in zip(scaled, mats):
                 assert F(_integer_pair_trace(twice, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
+
+
+def test_trace_table_reads_every_defining_trace_against_dense_constraints():
+    # T[a][b] = x_a^T M e_b is the trace of M against sym(x_a e_b^T), checked entry by
+    # entry (a transposed table fails), and every trace read from T equals the dense
+    # trace of the direction; the iterates come from the dense fixed-point matrices
+    # sym(x_i e_i^T), whose column i holds x_i / 2 off the diagonal and x_i[i] on it
+    from hinv.combinatorics import integer_rows
+    from hinv.worstcase import _defining_traces, _trace_table
+
+    h = H.h_dual(H.strange3())
+    cases = [(h, pair) for pair in H.certificates(h).negative_pairs()]
+    rng = random.Random(4321)
+    for n in range(4, 13):
+        v = random_certificate_violating_h(rng, n)
+        cases.append((v, H.certificates(v).negative_pairs()[0]))
+    for h, pair in cases:
+        n = h.n
+        delta = H.build_perturbation(h, *pair)
+        a, b, c, d, e = dense_constraints(h)
+        xs = [[b[i][r][i - 1] * (1 + (r != i - 1)) for r in range(n + 1)] for i in range(1, n + 1)]
+        ints, scale = integer_rows(xs)
+        table = _trace_table(ints, delta)
+        assert table != transpose(table), (n, pair)
+        for p, x in enumerate(xs):
+            for q in range(n):
+                sym = [[(x[r] * (col == q) + (r == q) * x[col]) / 2 for col in range(n + 1)]
+                       for r in range(n + 1)]
+                assert table[p][q] == scale * _dense_trace_inner(delta, sym), (n, pair, p, q)
+        ta, tb, tc, td, te = _defining_traces(ints, delta)
+        assert ta == {key: scale * _dense_trace_inner(delta, m) for key, m in a.items()}, (n, pair)
+        assert tb == [scale * _dense_trace_inner(delta, b[i]) for i in range(1, n + 1)], (n, pair)
+        assert tc == _dense_trace_inner(delta, c) == 0
+        assert td == n * _dense_trace_inner(delta, d) and te == _dense_trace_inner(delta, e)
 
 
 def test_build_perturbation_errors():
@@ -355,7 +409,6 @@ def _span_route_perturbation(h, i0, j0):
     from operator import mul
 
     from hinv.exactlinalg import integer_rows, solve_consistent
-    from hinv.worstcase import _integer_pairs
 
     def inner(p, q):
         (u, v, _), (s, t, _) = p, q
