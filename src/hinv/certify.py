@@ -62,7 +62,10 @@ class CertificateSet:
     def __init__(self, n: int, table):
         if n < 1:
             raise ValueError("horizon must be at least 1")
-        lam = {(k, j): Fraction(0) for k in range(2, n + 1) for j in range(1, k)}
+        lam = {}
+        for k in range(2, n + 1):
+            for j in range(1, k):
+                lam[(k, j)] = Fraction(0)
         for (k, j), raw in dict(table).items():
             if (k, j) not in lam:
                 raise ValueError(f"({k},{j}) is not a strict lower-triangular pair for n={n}")

@@ -55,8 +55,6 @@ def gram(vectors):
 
 
 def integer_rows(rows):
-    """Rows of ints and Fractions times den, the lcm of their denominators: (new integer rows, den)."""
+    """Rows of ints and Fractions times den, the lcm of their denominators: (integer rows, den)."""
     den = math.lcm(*(x.denominator for row in rows for x in row))
-    if den == 1:  # the numerators, with no multiply pass
-        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den

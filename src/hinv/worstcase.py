@@ -30,7 +30,6 @@ symbolically.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -194,7 +193,8 @@ class ConstraintBasis:
     recursion coefficients of the complement basis
     (:func:`_complement_basis`).  The pairs ``a`` are built from ``b`` on
     first read; the witness re-checks need only the iterates
-    (:func:`_defining_traces`).  The dense reference is :func:`hinv.oracles.dense_constraints`.
+    (:func:`_defining_traces`).  The entrywise dense reference is
+    :func:`hinv.oracles.dense_constraints`.
     """
 
     n: int
@@ -205,7 +205,8 @@ class ConstraintBasis:
 
     @cached_property
     def a_pairs(self):
-        return {(i, j): tuple([p - q for p, q in zip(u, v)] for u, v in zip(self.b_pairs[i], self.b_pairs[j]))
+        b = self.b_pairs
+        return {(i, j): tuple([p - q for p, q in zip(u, v)] for u, v in zip(b[i], b[j]))
                 for i in range(2, self.n + 1) for j in range(1, i)}
 
 
@@ -233,8 +234,13 @@ def constraint_matrices(h: HMatrix) -> ConstraintBasis:
         if i < n:
             y = [yj - 2 * hij for yj, hij in zip(y, h.rows[i - 1])] + y[i:]
     d = basis_vec(n)[:-1] + [Fraction(-2, n)]
-    return ConstraintBasis(n, b, (basis_vec(dim), basis_vec(dim)), (basis_vec(n), d),
-                           (basis_vec(n), basis_vec(n)))
+    return ConstraintBasis(
+        n=n,
+        b_pairs=b,
+        c_pair=(basis_vec(dim), basis_vec(dim)),
+        d_pair=(basis_vec(n), d),
+        e_pair=(basis_vec(n), basis_vec(n)),
+    )
 
 
 def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
@@ -362,14 +368,14 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     (f = 0 when E' = 0), and symmetrically E' - g D'.  Projections are
     unique, so this equals the dense normal-equation route exactly.
 
-    The basis, its Gram matrix and the combination are integers, read from
-    lower triangles, and the direction becomes a Fraction matrix once.  The
-    construction succeeds exactly when the certificate at (i0, j0) is
-    negative.  The five defining trace conditions are re-checked exactly on
-    the integer direction M, from one table T[a][b] = x_a . M[b] of the
-    integer iterates (:func:`_defining_traces`).  delta lies in the span of
-    the basis whatever its coefficients, so these checks guard the basis: a
-    wrong recursion entry leaves a nonzero trace.
+    The basis, its Gram matrix and the combination are integers, and the
+    direction becomes a Fraction matrix once.  The construction succeeds
+    exactly when the certificate at (i0, j0) is negative.  The five defining
+    trace conditions are re-checked exactly on the integer direction M, from
+    one table T[a][b] = x_a . M[b] of the integer iterates
+    (:func:`_defining_traces`).  delta lies in the span of the basis whatever
+    its coefficients, so these checks guard the basis: a wrong recursion
+    entry leaves a nonzero trace.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -380,25 +386,17 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
 
     basis = constraint_matrices(h)
     mats = _complement_basis(basis, i0, j0)
-    # Frobenius inner products of symmetric matrices: lower triangles, off-diagonal twice
-    lows = [[x for i, row in enumerate(m) for x in row[: i + 1]] for m in mats]
-    twice = [1 + (j < i) for i in range(n + 1) for j in range(i + 1)]
-    gram = [[0] * (n + 1) for _ in mats]
-    for k, f in enumerate(lows):
-        f = list(map(operator.mul, f, twice))
-        for l in range(k + 1):
-            gram[k][l] = gram[l][k] = sum(map(operator.mul, f, lows[l]))
+    frob = gram([[x for row in m for x in row] for m in mats])  # Frobenius inner products
     # N <X_k, D> and N <X_k, E>, so the solution is N times the coefficients
     rhs = [[n * m[n - 1][n - 1] - 2 * m[n - 1][n], n * m[n - 1][n - 1]] for m in mats]
-    cd, ce = zip(*solve_consistent(gram, rhs))
+    cd, ce = zip(*solve_consistent(frob, rhs))
     rhs_d, rhs_e = zip(*rhs)
     dd, de, ee = dot(cd, rhs_d), dot(cd, rhs_e), dot(ce, rhs_e)  # N^2 <D',D'>, <D',E'>, <E',E'>
     wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
     we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
     (ints,), den = integer_rows([[wd * x + we * y for x, y in zip(cd, ce)]])
-    low = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(r + 1)]
-           for r in range(n + 1)]  # N den delta, lower triangle
-    scaled = [row + [low[col][r] for col in range(r + 1, n + 1)] for r, row in enumerate(low)]
+    scaled = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(n + 1)]
+              for r in range(n + 1)]  # N den delta
 
     xs, _ = integer_rows([u for u, _ in basis.b_pairs.values()])
     a, b, c, d, e = _defining_traces(xs, scaled)

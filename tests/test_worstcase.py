@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction as F
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 import hinv as H
-from hinv.combinatorics import binom
+from hinv.combinatorics import binom, integer_rows
 from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
     _dense_trace_inner,
@@ -263,31 +262,20 @@ def test_build_perturbation_equals_dense_normal_equations():
 
 
 def _integer_pairs(pairs):
-    """Constraint pairs with every u and v scaled to integers by L, the lcm of all denominators.
-
-    Returns (L, scaled pairs (U, V, nonzero entries of V)); every v has at
-    most two nonzero entries, so :func:`_integer_pair_trace` reads only those.
-    """
-    from hinv.combinatorics import integer_rows
-
+    """Constraint pairs with u and v scaled to integers by L, the lcm of all denominators: (L, pairs)."""
     vecs, scale = integer_rows([vec for pair in pairs for vec in pair])
-    scaled = [(u, v, [(i, x) for i, x in enumerate(v) if x]) for u, v in zip(vecs[::2], vecs[1::2])]
-    return scale, scaled
-
-
-def _integer_pair_trace(x, p):
-    """U^T x V for a symmetric integer matrix x and a scaled pair p = (U, V, nonzeros of V)."""
-    u, _, v_nz = p
-    return sum(vj * sum(map(operator.mul, u, x[j])) for j, vj in v_nz)
+    return scale, list(zip(vecs[::2], vecs[1::2]))
 
 
 def test_rank2_pair_identities_match_dense_traces():
-    # <sym(uv^T), sym(pq^T)> = ((u.p)(v.q) + (u.q)(v.p))/2 and sym(uv^T) itself, over
-    # integers after one common scaling by L, and <X, sym(uv^T)> = u^T X v, against
-    # the entrywise dense constraints of the oracle
-    from hinv.worstcase import _pair_trace
+    # <X, sym(uv^T)> = u^T X v against the entrywise dense constraints of the oracle,
+    # and, over integers, <sym(uv^T), sym(pq^T)>: every trace that _defining_traces
+    # reads with a constraint matrix itself as M equals the dense inner product,
+    # times the scales of the iterates and of M
+    from hinv.worstcase import _defining_traces, _pair_trace
 
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
+        n = h.n
         basis = constraint_matrices(h)
         a, b, c, d, e = dense_constraints(h)
         assert a.keys() == basis.a_pairs.keys() and b.keys() == basis.b_pairs.keys()
@@ -295,13 +283,16 @@ def test_rank2_pair_identities_match_dense_traces():
         pairs += [basis.c_pair, basis.d_pair, basis.e_pair]
         mats = list(a.values()) + list(b.values()) + [c, d, e]
         g0 = H.gram_g0(h)
-        scale, scaled = _integer_pairs(pairs)
-        for p, sp, pm in zip(pairs, scaled, mats):
+        xs, scale = integer_rows([u for u, _ in basis.b_pairs.values()])
+        for p, pm in zip(pairs, mats):
             assert pm == [list(row) for row in zip(*pm)]
-            twice = [[2 * scale ** 2 * x for x in row] for row in pm]
             assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
-            for sq, qm in zip(scaled, mats):
-                assert F(_integer_pair_trace(twice, sq), 2 * scale ** 4) == _dense_trace_inner(pm, qm)
+            ints, den = integer_rows(pm)
+            ta, tb, tc, td, te = _defining_traces(xs, ints)
+            assert ta == {key: scale * den * _dense_trace_inner(pm, qm) for key, qm in a.items()}
+            assert tb == [scale * den * _dense_trace_inner(pm, qm) for qm in b.values()]
+            assert tc == den * _dense_trace_inner(pm, c)
+            assert td == n * den * _dense_trace_inner(pm, d) and te == den * _dense_trace_inner(pm, e)
 
 
 def test_trace_table_reads_every_defining_trace_against_dense_constraints():
@@ -309,7 +300,6 @@ def test_trace_table_reads_every_defining_trace_against_dense_constraints():
     # entry (a transposed table fails), and every trace read from T equals the dense
     # trace of the direction; the iterates come from the dense fixed-point matrices
     # sym(x_i e_i^T), whose column i holds x_i / 2 off the diagonal and x_i[i] on it
-    from hinv.combinatorics import integer_rows
     from hinv.worstcase import _defining_traces, _trace_table
 
     h = H.h_dual(H.strange3())
@@ -408,10 +398,10 @@ def _span_route_perturbation(h, i0, j0):
     """
     from operator import mul
 
-    from hinv.exactlinalg import integer_rows, solve_consistent
+    from hinv.exactlinalg import solve_consistent
 
     def inner(p, q):
-        (u, v, _), (s, t, _) = p, q
+        (u, v), (s, t) = p, q
         return sum(map(mul, u, s)) * sum(map(mul, v, t)) + sum(map(mul, u, t)) * sum(map(mul, v, s))
 
     basis = constraint_matrices(h)
@@ -433,7 +423,7 @@ def _span_route_perturbation(h, i0, j0):
     (ints,), den = integer_rows([coeffs])
     dim = h.n + 1
     m = [[0] * dim for _ in range(dim)]
-    for k, (u, v, _) in zip(ints, [d, e] + shared):
+    for k, (u, v) in zip(ints, [d, e] + shared):
         for r in range(dim):
             for col in range(dim):
                 m[r][col] += k * (u[r] * v[col] + v[r] * u[col])
