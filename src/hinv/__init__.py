@@ -32,9 +32,6 @@ from .certify import (
     certificates,
     certify,
     invariance_report,
-    necessity_triangular_solve,
-    s_coefficients,
-    solve_lambda_by_elimination,
 )
 
 __version__ = "1.0.0"
@@ -100,17 +97,18 @@ __all__ = [
 
 # Every other name resolves on first use (PEP 562) from the module that owns
 # it: a bare ``import hinv`` loads algebra, combinatorics and certify only, the
-# catalog and witness modules load with their first name, and numpy only with
-# a hinv.simulate name.  The names catalog, worstcase and exactlinalg resolve
-# to the modules themselves.
+# catalog, witness and oracle modules load with their first name, and numpy
+# only with a hinv.simulate name.  The names catalog, worstcase and exactlinalg
+# resolve to the modules themselves.
 _LAZY = {
     **dict.fromkeys(("BOTTOM", "TOP", "DegeneratePatternError", "SparsityChoice", "anytime_extend",
                      "dual_ohm", "h_from_sparsity", "is_ohm_tail", "ohm", "q_from_sparsity",
                      "second_mixed", "self_dual_mixed", "strange3", "catalog"), "catalog"),
-    **dict.fromkeys(("GramWitness", "TraceLedger", "WorstCaseOperator", "adjugate_spotcheck",
-                     "build_perturbation", "gram_g0", "interpolation_traces",
-                     "suboptimality_witness", "terminal_gy", "witness_vectors",
+    **dict.fromkeys(("GramWitness", "TraceLedger", "WorstCaseOperator", "build_perturbation", "gram_g0",
+                     "interpolation_traces", "suboptimality_witness", "terminal_gy", "witness_vectors",
                      "worst_case_residual_sq", "worst_operator", "worstcase"), "worstcase"),
+    **dict.fromkeys(("adjugate_spotcheck", "necessity_triangular_solve", "s_coefficients",
+                     "solve_lambda_by_elimination"), "oracles"),
     **dict.fromkeys(("OperatorOracle", "Trajectory", "anytime_check", "linear_oracle",
                      "rotation_oracle", "run", "worst_case_oracle", "worst_case_start"),
                     "simulate"),

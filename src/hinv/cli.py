@@ -29,14 +29,8 @@ import sys
 from fractions import Fraction
 
 from . import serialization
-from .algebra import h_dual, p_invariant, q_partial
-from .certify import (
-    STATUS_INVARIANCE_VIOLATED,
-    STATUS_OPTIMAL,
-    certificates,
-    certify,
-    solve_lambda_by_elimination,
-)
+from .algebra import h_dual
+from .certify import STATUS_INVARIANCE_VIOLATED, STATUS_OPTIMAL, certify
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -220,7 +214,12 @@ def cmd_simulate(args):
                 raise ValueError("--y0 worstcase only pairs with --oracle worstcase")
             y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq is not None else 1.0)
         else:
-            y0 = np.array(_read_json(args.y0), dtype=float)
+            try:
+                y0 = np.array(_read_json(args.y0), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"--y0 must be a JSON array of numbers: {exc}") from None
+            if y0.shape != (oracle.dimension,):  # before |y0|^2, the default --r-sq
+                raise ValueError(f"--y0 has shape {y0.shape}, oracle expects ({oracle.dimension},)")
             for i, x in enumerate(y0.flat, 1):
                 if not math.isfinite(x):
                     raise ValueError(f"--y0 entry {i} is {x}; every entry must be finite")
@@ -292,65 +291,14 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _oracle_check_report(seed, n_max, inject_bug=False):
-    """Run every oracle family; returns (lines, first_counterexample or None)."""
-    import random
-
-    from . import oracles
-
-    rng = random.Random(seed)
-    lines = []
-    counterexample = None
-
-    def record(name, ok, detail=""):
-        nonlocal counterexample
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
-        if not ok and counterexample is None:
-            counterexample = {"oracle": name, "detail": detail}
-
-    def invariant_mismatch():
-        """The first P or Q value where the recursion and the enumeration differ."""
-        for size in range(1, min(n_max, 6) + 1):
-            for _ in range(3):
-                h = oracles.random_h(rng, size)
-                doc = serialization.hmatrix_to_dict(h)
-                for k in range(1, size + 1):
-                    for m in range(0, k + 1):
-                        fast = p_invariant(h, k, m)
-                        slow = oracles.p_by_enumeration(h, k, m) + int(inject_bug)
-                        if fast != slow:
-                            return {"h": doc, "k": k, "m": m, "fast": str(fast), "slow": str(slow)}
-                    for m in range(1, k + 1):
-                        for j in range(1, k + 1):
-                            if q_partial(h, k, m, j) != oracles.q_by_enumeration(h, k, m, j):
-                                return {"h": doc, "k": k, "m": m, "j": j}
-        return None
-
-    mismatch = invariant_mismatch()
-    record("invariant-enumeration", mismatch is None, json.dumps(mismatch) if mismatch else "")
-
-    # drawn lazily, so the first disagreement stops the draws
-    invariant_hs = (oracles.random_invariant_h(rng, n)
-                    for n in range(3, min(n_max, 8) + 1) for _ in range(3))
-    lam_bad = next(({"h": serialization.hmatrix_to_dict(h)} for h in invariant_hs
-                    if certificates(h) != solve_lambda_by_elimination(h)), None)
-    record("certificate-solvers", lam_bad is None, json.dumps(lam_bad) if lam_bad else "")
-
-    for name, check in (("vandermonde-convolution", oracles.check_vandermonde_convolution),
-                        ("hockey-stick", oracles.check_hockey_stick),
-                        ("binomial-sums", oracles.check_binomial_sum_identities)):
-        bad = check(20)
-        record(name, not bad, str(bad[:3]) if bad else "")
-
-    return lines, counterexample
-
-
 def cmd_oracle_check(args):
     if not 3 <= args.n_max <= 8:
         _say("--n-max must be in 3..8 (the certificate checks start at horizon 3; "
              "enumeration cost caps it at 8)", "red")
         return EXIT_MALFORMED
-    lines, counterexample = _oracle_check_report(args.seed, args.n_max, args.inject_bug)
+    from . import oracles  # the slow routes load only here
+
+    lines, counterexample = oracles.oracle_check_report(args.seed, args.n_max, args.inject_bug)
     for line in lines:
         print(line)
     if counterexample is not None:

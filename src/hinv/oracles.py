@@ -1,24 +1,26 @@
-"""Independent slow-path oracles used to cross-check the fast implementations.
+"""Independent slow routes that cross-check the fast implementations.
 
-Everything here recomputes a quantity by a route disjoint from the one the
-library uses: invariant polynomials by literal chain enumeration instead of
-the recursions, the certificate coefficient table by expanding the defining
-identity as a quadratic form, the run's Gram matrix by running the method on
-the cyclic operator, the per-column sparsity relations by an exact nullspace
-computation, and the combinatorial identities by raw summation.
-The checks double as the back end of the ``oracle-check`` command.
-
-Seeded random generators for step matrices (arbitrary, invariant, and
-certificate-violating) live here too, shared between tests and the CLI.
+Only tests, acceptance criteria and ``oracle-check`` call these routes, each
+disjoint from the library's: invariant polynomials by chain enumeration, the
+coefficient table s(H, lambda) in closed form and by expansion, certificates
+by sequential elimination, optimal invariants by a triangular solve, Leibniz
+determinants, dense witness constraints, the run's Gram matrix by running the
+method and its adjugate's shape, exact nullspaces and raw binomial sums.
+:func:`oracle_check_report` backs ``oracle-check``; the seeded step-matrix
+generators that tests share with it live here too.
 """
 
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
-from .algebra import HMatrix, QProfile, h_from_q_profile
-from .certify import CertificateSet, certificates, invariance_report
-from .combinatorics import binom
+from . import serialization
+from .algebra import HMatrix, QProfile, h_from_q_profile, p_invariant, q_partial
+from .certify import (CertificateSet, InternalConsistencyError, InvarianceError, certificates,
+                      invariance_report)
+from .combinatorics import binom, signed_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,64 @@ def q_by_enumeration(h: HMatrix, k: int, m: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-form expansion of the certificate identity.
+# The certificate identity: its coefficient table, certificates and invariants.
+
+
+def s_coefficients(h: HMatrix, lam: CertificateSet):
+    """The coefficient table s_{k,j}(H, lambda) of the certificate identity.
+
+    Expanding
+        N |g_N|^2 + <g_N, x_N - y_0> + sum_{j<k} lambda_{k,j} <x_k - x_j, g_k - g_j>
+    as a quadratic form in g_1..g_N and collecting the coefficient of each
+    <g_k, g_j> yields, in closed form:
+
+        s_{N,N} = N - 1 - sum_j lambda_{N,j}
+        s_{N,j} = 2 (lambda_{N,j} - sum_{i>=j} sum_{k<=i} h_{i,j} lambda_{N,k}
+                     - sum_{i>=j} h_{i,j})
+        s_{k,k} = sum_{i>k} (2 * colsum - 1) lambda_{i,k} - sum_{j<k} lambda_{k,j}
+        s_{k,j} = 2 (lambda_{k,j} - sum_n h_{n,j} sum_{i<=n} lambda_{k,i} + c_{k,j})
+
+    with c_{k,j} collecting the couplings to multipliers of later rows.  The
+    identity holds for the matrix exactly when every s_{k,j} is zero.
+    Returns a dict keyed by (k, j) for 1 <= j <= k <= N.
+    """
+    n = h.n
+    if lam.n != n:
+        raise ValueError(f"certificate set has horizon {lam.n}, matrix needs {n}")
+    s = {}
+
+    s[(n, n)] = Fraction(n - 1) - sum(
+        (lam.value(n, j) for j in range(1, n)), Fraction(0)
+    )
+    for j in range(1, n):
+        acc = lam.value(n, j)
+        for i in range(j, n):
+            hij = h.entry(i, j)
+            if hij:
+                acc -= hij * sum((lam.value(n, k) for k in range(1, i + 1)), Fraction(0))
+        acc -= h.column_sum(j, j, n - 1)
+        s[(n, j)] = 2 * acc
+
+    for k in range(1, n):
+        acc = Fraction(0)
+        for i in range(k + 1, n + 1):
+            acc += (2 * h.column_sum(k, k, i - 1) - 1) * lam.value(i, k)
+        acc -= sum((lam.value(k, j) for j in range(1, k)), Fraction(0))
+        s[(k, k)] = acc
+        for j in range(1, k):
+            c_kj = Fraction(0)
+            for m in range(k + 1, n + 1):
+                col_j = h.column_sum(j, k, m - 1)
+                col_k = h.column_sum(k, k, m - 1)
+                c_kj += col_j * lam.value(m, k) + col_k * lam.value(m, j)
+            acc = lam.value(k, j)
+            for nn in range(j, k):
+                hnj = h.entry(nn, j)
+                if hnj:
+                    acc -= hnj * sum((lam.value(k, i) for i in range(1, nn + 1)), Fraction(0))
+            s[(k, j)] = 2 * (acc + c_kj)
+
+    return s
 
 
 def _iterate_offsets(h: HMatrix):
@@ -91,7 +150,7 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
     bilinear coefficients of
         N |g_N|^2 + <g_N, x_N - y_0> + sum lambda_{k,j} <x_k - x_j, g_k - g_j>,
     and folds them to one coefficient per unordered pair.  Independent of
-    the closed-form table in :mod:`hinv.certify`.
+    the closed-form table of :func:`s_coefficients`.
     """
     n = h.n
     if lam.n != n:
@@ -119,6 +178,112 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
         for j in range(1, k):
             table[(k, j)] = raw[k][j] + raw[j][k]
     return table
+
+
+def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
+    """Independent computation of the certificates by sequential linear solves.
+
+    Solves the coefficient system s(lambda) = 0 row-block by row-block,
+    running k backwards from N: the top block is the square system with
+    matrix M (entry (j, i) = [i==j] - sum_{r >= max(i,j)} h_{r,j}, whose
+    determinant is the alternating sum D(N)); each later block is
+    triangularized by adding column-sum multiples of its first row, which
+    leaves a unit-diagonal system solved by back-substitution.  The dropped
+    first-column equation of every block is then verified exactly, so any
+    inconsistency raises InternalConsistencyError.
+    """
+    from .exactlinalg import SingularMatrixError, mat_solve  # only this solver needs it
+
+    report = invariance_report(h)
+    if not report.is_invariant():
+        raise InvarianceError(report)
+    n = h.n
+    lam = {}
+    if n == 1:
+        return CertificateSet(1, {})
+
+    # Top block: multipliers lambda_{N, 1..N-1}.
+    size = n - 1
+    m_rows = [
+        [
+            (Fraction(1) if i == j else Fraction(0)) - h.column_sum(j, max(i, j), n - 1)
+            for i in range(1, n)
+        ]
+        for j in range(1, n)
+    ]
+    rhs = [h.column_sum(j, j, n - 1) for j in range(1, n)]
+    try:
+        top = mat_solve(m_rows, rhs)
+    except SingularMatrixError as exc:  # cannot happen under invariance; det = D(N) = 1/N
+        raise InternalConsistencyError("singular top block despite invariance") from exc
+    for j in range(1, n):
+        lam[(n, j)] = top[j - 1]
+
+    def coupling(k, j):
+        acc = Fraction(0)
+        for m in range(k + 1, n + 1):
+            acc += h.column_sum(j, k, m - 1) * lam[(m, k)]
+            acc += h.column_sum(k, k, m - 1) * lam[(m, j)]
+        return acc
+
+    for k in range(n - 1, 1, -1):
+        width = k - 1
+        rhs1 = Fraction(0)
+        for i in range(k + 1, n + 1):
+            rhs1 += (2 * h.column_sum(k, k, i - 1) - 1) * lam[(i, k)]
+        # Unit-triangular system after the row operations: row 1 is all ones,
+        # row j (j >= 2) has ones on the diagonal and column sums to its right.
+        upper = {}
+        rvec = [rhs1]
+        for j in range(2, k):
+            for i in range(j + 1, k):
+                upper[(j, i)] = h.column_sum(j, j, i - 1)
+            rvec.append(-coupling(k, j) + h.column_sum(j, j, k - 1) * rhs1)
+        sol = [Fraction(0)] * (width + 1)  # 1-based: sol[i] = lambda_{k,i}
+        for i in range(width, 1, -1):
+            acc = rvec[i - 1]
+            for i2 in range(i + 1, width + 1):
+                acc -= upper.get((i, i2), Fraction(0)) * sol[i2]
+            sol[i] = acc
+        sol[1] = rhs1 - sum(sol[2:width + 1], Fraction(0))
+        for i in range(1, k):
+            lam[(k, i)] = sol[i]
+        # The dropped first-column equation must hold automatically.
+        check = lam[(k, 1)]
+        for i in range(1, k):
+            check -= h.column_sum(1, max(i, 1), k - 1) * lam[(k, i)]
+        check += coupling(k, 1)
+        if check != 0:
+            raise InternalConsistencyError(f"dropped equation at row {k} violated")
+
+    # Row k = 1 contributes one pure consistency equation.
+    check = Fraction(0)
+    for i in range(2, n + 1):
+        check += (2 * h.column_sum(1, 1, i - 1) - 1) * lam[(i, 1)]
+    if check != 0:
+        raise InternalConsistencyError("row-1 consistency equation violated")
+
+    return CertificateSet(n, lam)
+
+
+def necessity_triangular_solve(n: int):
+    """Solve the triangular system that forces the optimal invariant values.
+
+    The worst-case operator analysis requires
+        sum_{m >= j-1} (-1)^(m+j-1) C(m, j-1) P(N-1, m) = 1/N
+    for j = 1..N, that is B p = (1/N, ..., 1/N) with the unit upper-triangular
+    signed binomial matrix B of :mod:`hinv.combinatorics`.  Back-substitution
+    in the order j = N..1 determines every P(N-1, m) uniquely; the result
+    equals C(N, m+1)/N.  Returns the solution vector indexed by m = 0..N-1.
+    """
+    if n < 2:
+        raise ValueError("horizon must be at least 2")
+    p = [None] * n
+    for i in range(n - 1, -1, -1):
+        p[i] = Fraction(1, n) - sum(
+            (signed_binomial(i, m) * p[m] for m in range(i + 1, n)), Fraction(0)
+        )
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +387,7 @@ def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
 
 
 # ---------------------------------------------------------------------------
-# The run's Gram matrix by running the method.
+# The run's Gram matrix by running the method, and the shape of its adjugate.
 
 
 def gram_by_cyclic_run(h: HMatrix):
@@ -248,6 +413,33 @@ def gram_by_cyclic_run(h: HMatrix):
             y = [a - b for a, b in zip(y, step)]
     vectors = incs + [start]
     return [[sum((a * b for a, b in zip(u, v)), Fraction(0)) / n for v in vectors] for u in vectors]
+
+
+def adjugate_spotcheck(h: HMatrix) -> bool:
+    """Verify the adjugate of the run's Gram matrix has its forced sparse shape.
+
+    On the invariance level set the adjugate vanishes outside the trailing
+    2x2 block, with
+        adj[N][N]   =  (prod_i h_{i,i}^(2(N-i))) / N^(N-2),
+        adj[N][N+1] = -(prod_i h_{i,i}^(2(N-i))) / N^(N-1).
+    Checked with one determinant: G0 z = 0 for z = e_N - e_{N+1}/N, and the
+    (N, N) cofactor equals the nonzero first closed form.  Then G0 has rank
+    N and kernel z, so adj(G0) = (that cofactor) z z^T, which is the shape
+    above.  Returns False on any mismatch (which would indicate a bug, not
+    bad input).  Refuses non-invariant matrices.
+    """
+    from .exactlinalg import mat_det
+    from .worstcase import gram_g0  # looked up per call, so a patched gram_g0 is the one checked
+    report = invariance_report(h)
+    if not report.is_invariant():
+        raise InvarianceError(report)
+    n = h.n
+    g0 = gram_g0(h)
+    if any(row[n - 1] - row[n] / n for row in g0):
+        return False
+    prod = math.prod(h.entry(i, i) ** (2 * (n - i)) for i in range(1, n))
+    minor = [row[: n - 1] + row[n:] for r, row in enumerate(g0) if r != n - 1]
+    return prod != 0 and mat_det(minor) == prod / Fraction(n ** (n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +528,7 @@ def check_binomial_sum_identities(limit: int = 20):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random generators.
+# Seeded random generators, and the oracle-check report that draws from them.
 
 _POOL_NUMERATORS = range(-3, 4)
 _POOL_DENOMINATORS = range(1, 4)
@@ -398,9 +590,57 @@ def random_certificate_violating_h(rng: random.Random, n: int, max_tries: int = 
 
 def random_noninvariant_h(rng: random.Random, size: int, max_tries: int = 2000) -> HMatrix:
     """Rejection-sample a matrix strictly off the invariance level set."""
-
     for _ in range(max_tries):
         h = random_h(rng, size)
         if not invariance_report(h).is_invariant():
             return h
     raise RuntimeError(f"no non-invariant matrix found in {max_tries} tries")
+
+
+def oracle_check_report(seed: int, n_max: int, inject_bug: bool = False):
+    """Run every oracle family; returns (lines, first_counterexample or None)."""
+    rng = random.Random(seed)
+    lines = []
+    counterexample = None
+
+    def record(name, ok, detail=""):
+        nonlocal counterexample
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
+        if not ok and counterexample is None:
+            counterexample = {"oracle": name, "detail": detail}
+
+    def invariant_mismatch():
+        """The first P or Q value where the recursion and the enumeration differ."""
+        for size in range(1, min(n_max, 6) + 1):
+            for _ in range(3):
+                h = random_h(rng, size)
+                doc = serialization.hmatrix_to_dict(h)
+                for k in range(1, size + 1):
+                    for m in range(0, k + 1):
+                        fast = p_invariant(h, k, m)
+                        slow = p_by_enumeration(h, k, m) + int(inject_bug)
+                        if fast != slow:
+                            return {"h": doc, "k": k, "m": m, "fast": str(fast), "slow": str(slow)}
+                    for m in range(1, k + 1):
+                        for j in range(1, k + 1):
+                            if q_partial(h, k, m, j) != q_by_enumeration(h, k, m, j):
+                                return {"h": doc, "k": k, "m": m, "j": j}
+        return None
+
+    mismatch = invariant_mismatch()
+    record("invariant-enumeration", mismatch is None, json.dumps(mismatch) if mismatch else "")
+
+    # drawn lazily, so the first disagreement stops the draws
+    invariant_hs = (random_invariant_h(rng, n)
+                    for n in range(3, min(n_max, 8) + 1) for _ in range(3))
+    lam_bad = next(({"h": serialization.hmatrix_to_dict(h)} for h in invariant_hs
+                    if certificates(h) != solve_lambda_by_elimination(h)), None)
+    record("certificate-solvers", lam_bad is None, json.dumps(lam_bad) if lam_bad else "")
+
+    for name, check in (("vandermonde-convolution", check_vandermonde_convolution),
+                        ("hockey-stick", check_hockey_stick),
+                        ("binomial-sums", check_binomial_sum_identities)):
+        bad = check(20)
+        record(name, not bad, str(bad[:3]) if bad else "")
+
+    return lines, counterexample

@@ -29,15 +29,14 @@ norms and inner products are ever compared, with the scalar r_sq/N carried
 symbolically.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .algebra import HMatrix, _p_table, as_rational
-from .certify import InternalConsistencyError, InvarianceError, certificates, invariance_report
+from .certify import InternalConsistencyError, certificates
 from .combinatorics import dot, gram, integer_rows, signed_binomial_transform
-from .exactlinalg import leading_principal_minors, mat_det, solve_consistent
+from .exactlinalg import leading_principal_minors, solve_consistent
 
 
 @dataclass(frozen=True)
@@ -257,31 +256,6 @@ def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
         a_traces={key: _pair_trace(gram, pair) for key, pair in basis.a_pairs.items()},
         b_traces={key: _pair_trace(gram, pair) for key, pair in basis.b_pairs.items()},
     )
-
-
-def adjugate_spotcheck(h: HMatrix) -> bool:
-    """Verify the adjugate of the run's Gram matrix has its forced sparse shape.
-
-    On the invariance level set the adjugate vanishes outside the trailing
-    2x2 block, with
-        adj[N][N]   =  (prod_i h_{i,i}^(2(N-i))) / N^(N-2),
-        adj[N][N+1] = -(prod_i h_{i,i}^(2(N-i))) / N^(N-1).
-    Checked with one determinant: G0 z = 0 for z = e_N - e_{N+1}/N, and the
-    (N, N) cofactor equals the nonzero first closed form.  Then G0 has rank
-    N and kernel z, so adj(G0) = (that cofactor) z z^T, which is the shape
-    above.  Returns False on any mismatch (which would indicate a bug, not
-    bad input).  Refuses non-invariant matrices.
-    """
-    report = invariance_report(h)
-    if not report.is_invariant():
-        raise InvarianceError(report)
-    n = h.n
-    g0 = gram_g0(h)
-    if any(row[n - 1] - row[n] / n for row in g0):
-        return False
-    prod = math.prod(h.entry(i, i) ** (2 * (n - i)) for i in range(1, n))
-    minor = [row[: n - 1] + row[n:] for r, row in enumerate(g0) if r != n - 1]
-    return prod != 0 and mat_det(minor) == prod / Fraction(n ** (n - 2))
 
 
 def _complement_basis(basis: ConstraintBasis, i0: int, j0: int):

@@ -10,6 +10,10 @@ rationals only, so the digest does not depend on numpy or the platform.
 Among certificate-violated matrices that population holds only strange3's
 dual, so a second digest covers dense, mixed-sign certificates: one seeded
 ``random_certificate_violating_h`` for each N = 4..14.
+
+A third digest covers ``hinv oracle-check`` for a few seeds and horizons and
+one ``--inject-bug`` run, so it pins the order of the seeded draws and the
+counterexample JSON.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ from hinv.oracles import random_certificate_violating_h, random_h
 
 DIGEST = "15aa271b4e3b065f627bc3fb7999ec71e076a41c37fd9fa8ffc5a9cb52312dbe"
 VIOLATOR_DIGEST = "947c77668ece89a5432a56c36a871c358368c67a79278cbdaa4e59371a40987f"
+ORACLE_DIGEST = "d2897a0583d722d511ef1cf0fad07a66ca2d79d29c5488c2765260791c445363"
 
 
 def _population():
@@ -67,3 +72,14 @@ def test_certify_output_digest_on_certificate_violators(tmp_path, capsys):
         assert code == 3, n
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == VIOLATOR_DIGEST
+
+
+def test_oracle_check_output_digest(capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for seed, n_max, *flags in ((1, 3), (2, 5), (7, 6), (9, 8), (3, 4, "--inject-bug")):
+        code = main(["oracle-check", "--seed", str(seed), "--n-max", str(n_max), *flags])
+        codes.append(code)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert codes == [0, 0, 0, 0, 6]
+    assert digest.hexdigest() == ORACLE_DIGEST

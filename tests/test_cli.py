@@ -207,11 +207,18 @@ def test_simulate_nonpositive_r_sq_is_malformed(tmp_path, capsys):
 
 
 def test_simulate_wrong_dimension_start_is_malformed(tmp_path, capsys):
+    # the default --r-sq is |y0|^2, which must not run before the shape check
     path = write_matrix(tmp_path, "o.json", H.ohm(4))
     y0 = tmp_path / "y0.json"
-    y0.write_text("[1.0, 0.5, 0.25]")
-    assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
-                                  "--oracle", "rotation:0.3", "--y0", str(y0)))
+    for text in ("[1.0, 0.5, 0.25]", "5", "[[0.5, 0.5]]", "[[0.5], [0.5]]", '"ab"', "{}"):
+        y0.write_text(text)
+        for r_sq in ((), ("--r-sq", "1")):
+            code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
+                                           "--oracle", "rotation:0.3", "--y0", str(y0), *r_sq)
+            assert_clean_failure(code, stdout, stderr)
+            assert "--y0" in stderr and "matmul" not in stderr, (text, r_sq)
+            if text[0] in "5[":
+                assert "shape" in stderr, (text, r_sq)
 
 
 def test_simulate_non_finite_start_is_malformed_whatever_r_sq(tmp_path, capsys):

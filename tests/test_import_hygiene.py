@@ -136,10 +136,17 @@ def test_package_import_leaves_numpy_out():
 
 
 def test_public_api_unchanged():
+    import hinv.oracles
     import hinv.simulate
 
     for name in H.__all__:
         assert getattr(H, name) is not None
+    # the slow routes live only in hinv.oracles
+    for name in ("s_coefficients", "solve_lambda_by_elimination", "necessity_triangular_solve",
+                 "adjugate_spotcheck"):
+        assert getattr(H, name) is getattr(hinv.oracles, name)
+        assert not hasattr(sys.modules["hinv.certify"], name)
+        assert not hasattr(H.worstcase, name)
     for name in ("OperatorOracle", "Trajectory", "anytime_check", "linear_oracle",
                  "rotation_oracle", "run", "worst_case_oracle", "worst_case_start"):
         assert getattr(H, name) is getattr(hinv.simulate, name)
