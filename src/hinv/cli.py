@@ -223,11 +223,16 @@ def cmd_simulate(args):
             for i, x in enumerate(y0.flat, 1):
                 if not math.isfinite(x):
                     raise ValueError(f"--y0 entry {i} is {x}; every entry must be finite")
-        with np.errstate(over="ignore"):  # an overflow is reported below as a non-finite start
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported below
             r_sq = args.r_sq if args.r_sq is not None else float(y0 @ y0)
-        if not 0 < r_sq < math.inf:
-            raise ValueError("--y0 must be finite and nonzero (|y0|^2 is the default --r-sq)")
-        traj = simulate.run(h, oracle, y0, r_sq=r_sq)
+            if not 0 < r_sq < math.inf:
+                raise ValueError("--y0 must be finite and nonzero (|y0|^2 is the default --r-sq)")
+            traj = simulate.run(h, oracle, y0, r_sq=r_sq)
+        for k, (res, bnd) in enumerate(zip(traj.residuals_sq, traj.bound_sq)):
+            if not (math.isfinite(res) and math.isfinite(bnd)):
+                raise OverflowError(f"float overflow at iterate {k}: residual_sq {res}, bound_sq {bnd}")
+            if not (bnd and math.isfinite(res / bnd)):
+                raise ValueError(f"--r-sq {r_sq} is too small: the ratio at iterate {k} overflows")
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         _say(f"simulate: {exc}", "red")
         return EXIT_MALFORMED

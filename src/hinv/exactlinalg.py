@@ -1,14 +1,12 @@
-"""Small dense exact linear algebra over rationals.
+"""Small dense exact linear algebra over rationals, sized for a few dozen rows.
 
-Everything operates on lists of lists of ``fractions.Fraction`` and is sized
-for the modest dimensions this package needs (a few dozen rows at most), so
-plain Gaussian elimination is used throughout.  The determinant
-(`mat_det`, and through it `leading_principal_minors`) and the solvers
-(`mat_solve`, `solve_consistent`, `mat_nullspace`) eliminate fraction-free
-over the integers, and the solvers' back-substitution is fraction-free too:
-it keeps integer numerators over one common denominator and builds one
-Fraction per solution entry.  No floating point enters anywhere in this
-module.
+One fraction-free elimination, `_echelon`, serves every routine: it scales
+each row of Fractions (or ints) to coprime integers and runs Bareiss steps,
+so every entry stays an integer and every division is exact.  `mat_det`, and
+through it `leading_principal_minors`, reads the last pivot; `mat_solve`,
+`solve_consistent` and `mat_nullspace` back-substitute from the echelon rows
+over one common denominator, building one Fraction per solution entry.  No
+floating point enters anywhere in this module.
 """
 
 import math
@@ -25,77 +23,61 @@ class InconsistentSystemError(ValueError):
     """Linear system that admits no solution at all."""
 
 
-def mat_det(a) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination over the integers.
+def _echelon(rows, cols):
+    """Fraction-free echelon form of the first ``cols`` columns: (rows, pivots, factor).
 
-    Rows are scaled to integers by the lcm of their denominators, so a row
-    of ints needs no Fraction round trip.  Each step replaces an entry by
-    (p * a - f * b) // previous pivot, an exact division, and the last pivot
-    is the integer determinant up to the sign of the row swaps; dividing by
-    the row scales gives the result.
+    Each row is scaled to coprime integers, which keeps its row space.  Below
+    each pivot p, a row becomes (p * row - f * pivot_row) // prev, with f its
+    entry in the pivot column and prev the previous pivot (Bareiss).  The
+    pivot is the first remaining row nonzero in the column, swapped up; a
+    column without one is skipped.  The division stays exact after a skip:
+    by Sylvester's identity each entry is the minor of the scaled matrix on
+    the pivot rows and its own row against the pivot columns and its own
+    column, and a skipped column is in none of these minors.  Later columns
+    (right-hand sides) ride along.  The factor is the swap sign over the
+    product of the row scales.
+    """
+    out, num, den = [], 1, 1
+    for row in rows:
+        (ints,), d = integer_rows([row])
+        g = math.gcd(*ints) or 1
+        out.append([x // g for x in ints] if g > 1 else ints)
+        num, den = num * g, den * d
+    pivots, prev = [], 1
+    for col in range(cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(out)) if out[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            out[top], out[pivot] = out[pivot], out[top]
+            num = -num
+        p, prow = out[top][col], out[top][col + 1:]
+        for r in range(top + 1, len(out)):
+            f = out[r][col]  # its new entry p * f - f * p is 0
+            out[r][col:] = [0] + [(p * x - f * y) // prev for x, y in zip(out[r][col + 1:], prow)]
+        prev = p
+        pivots.append(col)
+    return out, pivots, Fraction(num, den)
+
+
+def mat_det(a) -> Fraction:
+    """Determinant by the one elimination: `_echelon`'s last pivot times its factor.
+
+    The last Bareiss pivot is the determinant of the scaled, row-swapped
+    matrix, and the factor undoes the swaps and scales; below n pivots it is 0.
     """
     n = len(a)
-    if n == 0:
-        return Fraction(1)
-    scaled = [integer_rows([row]) for row in a]
-    rows = [row for (row,), _ in scaled]
-    scale = math.prod(den for _, den in scaled)
-    sign = prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        prow = rows[col][col + 1:]
-        p = rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            rows[r][col + 1:] = [(p * x - f * y) // prev for x, y in zip(rows[r][col + 1:], prow)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    ech, pivots, factor = _echelon(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return ech[-1][-1] * factor if n else factor
 
 
 def leading_principal_minors(a):
     """Determinants of the k-by-k upper-left blocks, k = 1..n."""
     n = len(a)
     return [mat_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
-
-
-def _integer_echelon(rows, cols):
-    """Fraction-free row echelon form over the integers; returns (rows, pivot columns).
-
-    Each rational row is scaled to coprime integers, which leaves its row
-    space unchanged.  Elimination then replaces a row by
-    pivot * row - factor * pivot_row and divides out the row's content, so
-    every step is a Python-integer operation.  Pivot columns are the first
-    nonzero column among the remaining rows, as in Gauss-Jordan.
-    """
-    out = []
-    for row in rows:
-        (ints,), _ = integer_rows([row])
-        g = math.gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    pivots = []
-    for col in range(cols):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(out)) if out[r][col]), None)
-        if pivot is None:
-            continue
-        out[top], out[pivot] = out[pivot], out[top]
-        prow = out[top][col:]
-        p = prow[0]
-        for r in range(top + 1, len(out)):
-            f = out[r][col]
-            if f:
-                new = [p * x - f * y for x, y in zip(out[r][col:], prow)]
-                g = math.gcd(*new)
-                out[r][col:] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-        if len(pivots) == len(out):
-            break
-    return out, pivots
 
 
 def _back_substitute(ech, pivots, cols, rhs_columns):
@@ -130,7 +112,7 @@ def _back_substitute(ech, pivots, cols, rhs_columns):
 def mat_solve(a, b):
     """Unique solution of a square system, or SingularMatrixError."""
     n = len(a)
-    ech, pivots = _integer_echelon([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    ech, pivots, _ = _echelon([list(row) + [rhs] for row, rhs in zip(a, b)], n)
     if len(pivots) < n:
         raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
     return _back_substitute(ech, pivots, n, [[row[n] for row in ech]])[0]
@@ -148,7 +130,7 @@ def solve_consistent(a, b):
     n = len(a[0]) if m else 0
     several = bool(b) and isinstance(b[0], (list, tuple))
     width = len(b[0]) if several else 1
-    ech, pivots = _integer_echelon(
+    ech, pivots, _ = _echelon(
         [list(row) + (list(rhs) if several else [rhs]) for row, rhs in zip(a, b)], n
     )
     if any(any(row[n:]) for row in ech[len(pivots):]):
@@ -163,7 +145,7 @@ def mat_nullspace(a):
     """Basis of the right null space of a rectangular matrix."""
     m = len(a)
     n = len(a[0]) if m else 0
-    ech, pivots = _integer_echelon(a, n)
+    ech, pivots, _ = _echelon(a, n)
     pivot_set = set(pivots)
     frees = [c for c in range(n) if c not in pivot_set]
     basis = _back_substitute(ech, pivots, n, [[-row[f] for row in ech] for f in frees])

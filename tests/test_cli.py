@@ -233,6 +233,23 @@ def test_simulate_non_finite_start_is_malformed_whatever_r_sq(tmp_path, capsys):
             assert f"--y0 entry {entry}" in stderr
 
 
+def test_simulate_float_overflow_is_malformed(tmp_path, capsys):
+    # a finite start whose run (or whose envelope, through --r-sq) leaves the float range
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    big, ok = tmp_path / "big.json", tmp_path / "ok.json"
+    big.write_text("[1e308, 1e308]")
+    ok.write_text("[1.0, 0.5]")
+    for y0, r_sq, message in ((big, "1", "float overflow at iterate 0: residual_sq inf"),
+                              (ok, "1e308", "float overflow at iterate 0"),
+                              (ok, "5e-324", "--r-sq 5e-324 is too small")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            code, stdout, stderr = run_cli(capsys, "simulate", "--h", path, "--oracle",
+                                           "rotation:0.5", "--y0", str(y0), "--r-sq", r_sq)
+        assert_clean_failure(code, stdout, stderr)
+        assert message in stderr, (y0, r_sq)
+
+
 def test_simulate_negative_steps_is_malformed(tmp_path, capsys):
     path = write_matrix(tmp_path, "o.json", H.ohm(4))
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--steps", "-1"))

@@ -6,7 +6,7 @@ import pytest
 from hinv.exactlinalg import (
     InconsistentSystemError,
     SingularMatrixError,
-    _integer_echelon,
+    _echelon,
     leading_principal_minors,
     mat_det,
     mat_nullspace,
@@ -165,11 +165,11 @@ def fraction_back_substitute(ech, pivots, cols, rhs_columns):
 def reference_solutions(a, b_columns):
     """What mat_solve / solve_consistent / mat_nullspace return, through the Fraction route."""
     n = len(a[0])
-    ech, pivots = _integer_echelon([list(row) + list(rhs) for row, rhs in zip(a, zip(*b_columns))], n)
+    ech, pivots, _ = _echelon([list(row) + list(rhs) for row, rhs in zip(a, zip(*b_columns))], n)
     solutions = fraction_back_substitute(
         ech, pivots, n, [[row[n + k] for row in ech] for k in range(len(b_columns))]
     )
-    null_ech, null_pivots = _integer_echelon(a, n)
+    null_ech, null_pivots, _ = _echelon(a, n)
     frees = [c for c in range(n) if c not in null_pivots]
     basis = fraction_back_substitute(null_ech, null_pivots, n, [[-row[f] for row in null_ech] for f in frees])
     for vec, f in zip(basis, frees):
@@ -200,3 +200,38 @@ def test_fraction_free_back_substitution_matches_fraction_route():
         if rows == cols == rank(a):
             assert [mat_solve(a, b) for b in b_columns] == solutions, trial
     assert negative_pivots
+
+
+def skipped_column(rng, rows, cols, j, ratio):
+    """A seeded rows x cols rational matrix whose column j (j >= 1) is ratio times column 0.
+
+    The elimination pivots in column 0, finds no pivot left in column j and
+    skips it, then divides by the previous pivot in every later column.
+    """
+    a = [[random_rational(rng) * F(1, rng.randint(1, 9)) for _ in range(cols)] for _ in range(rows)]
+    for row in a:
+        row[j] = ratio * row[0]
+    return a
+
+
+def test_skipped_column_matches_leibniz_and_solves():
+    rng = random.Random(61)
+    singular = skipped_column(rng, 6, 6, 2, F(-3, 4))
+    assert mat_det(singular) == det_by_permutations(singular) == 0
+    # column 2 is a multiple of column 0 except in the last row: every leading
+    # block of order 3..5 skips column 2, the whole matrix does not
+    nonsingular = skipped_column(rng, 6, 6, 2, F(5, 2))
+    nonsingular[5][2] += 1
+    want = det_by_permutations(nonsingular)
+    assert mat_det(nonsingular) == want != 0
+    assert leading_principal_minors(nonsingular) == [
+        det_by_permutations([row[:k] for row in nonsingular[:k]]) for k in range(1, 7)
+    ]
+    for rows, cols, j, ratio in ((6, 6, 2, F(7, 3)), (4, 7, 1, F(0)), (8, 5, 3, F(-2, 9))):
+        a = skipped_column(rng, rows, cols, j, ratio)
+        b = mat_vec(a, [random_rational(rng) for _ in range(cols)])
+        x = solve_consistent(a, b)
+        assert mat_vec(a, x) == b and x[j] == 0, (rows, cols, j)
+        basis = mat_nullspace(a)
+        assert len(basis) == cols - rank(a), (rows, cols, j)
+        assert all(mat_vec(a, vec) == [F(0)] * rows for vec in basis), (rows, cols, j)

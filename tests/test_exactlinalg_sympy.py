@@ -3,9 +3,11 @@
 ``sympy.polys.matrices.DomainMatrix`` over ``QQ`` computes determinants,
 reduced row echelon forms and nullspaces with its own code, so agreement
 with ``hinv.exactlinalg`` on seeded rational matrices up to n = 20 checks
-the fraction-free eliminations from outside the package.  The leading
-principal minors are checked on integer and rational matrices up to n = 12.  sympy is an
-optional test tool, not a dependency; without it this module is skipped.
+the fraction-free elimination from outside the package, also on matrices
+whose elimination skips a column partway.  The leading principal minors are
+checked on integer and rational matrices up to n = 12.  sympy is an optional
+test tool (the ``test`` extra), not a dependency; without it this module is
+skipped.
 """
 
 import random
@@ -111,3 +113,43 @@ def test_mat_nullspace_matches_sympy():
         assert mat_nullspace(a) == want, (rows, cols, r)
     full = random_matrix(rng, 20, 20)
     assert mat_nullspace(full) == [] and to_domain(full).nullspace().shape[0] == 0
+
+
+def skipped_column(rng, rows, cols, j, ratio):
+    """Column j >= 1 is ratio times column 0, so the elimination skips it and divides after."""
+    a = random_matrix(rng, rows, cols)
+    for row in a:
+        row[j] = ratio * row[0]
+    return a
+
+
+SKIP_SHAPES = ((20, 20), (12, 20), (20, 9), (16, 16), (6, 11), (7, 7), (3, 3))
+
+
+def test_skipped_column_determinants_match_sympy():
+    rng = random.Random(97)
+    for n in (3, 7, 12, 20):
+        for ratio in (random_rational(rng, nonzero=True), F(0)):
+            a = skipped_column(rng, n, n, rng.randint(1, n - 2), ratio)
+            assert mat_det(a) == 0 == to_fraction(to_domain(a).det()), n
+        # proportional except in the last row: leading blocks skip column j, the whole does not
+        j = rng.randint(1, n - 2)
+        a = skipped_column(rng, n, n, j, random_rational(rng, nonzero=True))
+        a[-1][j] += 1
+        want = [to_fraction(to_domain([row[:k] for row in a[:k]]).det()) for k in range(1, n + 1)]
+        assert want[-1] != 0 and want[j] == 0
+        assert leading_principal_minors(a) == want, n
+
+
+def test_skipped_column_solves_and_nullspaces_match_sympy():
+    rng = random.Random(101)
+    for rows, cols in SKIP_SHAPES:
+        for ratio in (random_rational(rng, nonzero=True), F(0)):
+            a = skipped_column(rng, rows, cols, rng.randint(1, min(rows, cols) - 2), ratio)
+            b_columns = [[sum((x * y for x, y in zip(row, sol)), F(0)) for row in a]
+                         for sol in random_matrix(rng, 3, cols)]
+            want = reference_solution(a, b_columns)
+            assert solve_consistent(a, b_columns[0]) == [row[0] for row in want], (rows, cols)
+            assert solve_consistent(a, [list(row) for row in zip(*b_columns)]) == want, (rows, cols)
+            basis = [[to_fraction(x) for x in vec] for vec in to_domain(a).nullspace().to_list()]
+            assert basis and mat_nullspace(a) == basis, (rows, cols)
