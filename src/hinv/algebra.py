@@ -53,10 +53,12 @@ class HMatrix:
 
     The matrix is immutable, so the per-column prefix sums are built once at
     construction and every :meth:`column_sum` is a difference of two of them;
-    ``_certificates`` memoizes :func:`hinv.certify.certificates` (None until set).
+    ``_report`` memoizes :func:`hinv.certify.invariance_report` and
+    ``_certificates`` memoizes :func:`hinv.certify.certificates` (each None
+    until set), so every verdict on one matrix reads one report.
     """
 
-    __slots__ = ("_rows", "_prefix", "_certificates")
+    __slots__ = ("_rows", "_prefix", "_report", "_certificates")
 
     def __init__(self, rows):
         built = []
@@ -71,6 +73,7 @@ class HMatrix:
             list(accumulate((row[j] for row in built[j:]), initial=Fraction(0)))
             for j in range(len(built))
         ]
+        self._report = None
         self._certificates = None
 
     @property

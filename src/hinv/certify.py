@@ -123,13 +123,19 @@ class Verdict(namedtuple("Verdict", "status report certificates negative",
 
 
 def invariance_report(h: HMatrix) -> InvarianceReport:
-    """Exact residuals of the terminal invariants against the optimal level set."""
-    n = h.n
-    residuals = tuple(
-        p_invariant(h, n - 1, m) - Fraction(binom(n, m + 1), n)
-        for m in range(1, n)
-    )
-    return InvarianceReport(n=n, residuals=residuals)
+    """Exact residuals of the terminal invariants against the optimal level set.
+
+    The first call on a matrix computes P(N-1, m) once per m; the report is
+    memoized on the (immutable) matrix, so :func:`certify`, :func:`certificates`
+    and every later caller read that same report.
+    """
+    if h._report is None:
+        n = h.n
+        h._report = InvarianceReport(n=n, residuals=tuple(
+            p_invariant(h, n - 1, m) - Fraction(binom(n, m + 1), n)
+            for m in range(1, n)
+        ))
+    return h._report
 
 
 def certificates(h: HMatrix) -> CertificateSet:
@@ -137,8 +143,10 @@ def certificates(h: HMatrix) -> CertificateSet:
 
     Only defined on the invariance level set (where the alternating sum
     D(N) equals 1/N, which the closed forms below rely on); raises
-    InvarianceError otherwise.  In terms of the terminal partial invariants
-    Q = Q(N-1, ., .):
+    InvarianceError otherwise.  It decides by the matrix's memoized
+    :func:`invariance_report`, the one the error carries, so after
+    :func:`certify` it builds no P table.  In terms of the terminal partial
+    invariants Q = Q(N-1, ., .):
 
         lambda*_{N,j} = N sum_m (-1)^(m-1) Q(m, j)
         lambda*_{k,j} = N sum_{l,m} (-1)^(l+m-1) C(l+m, m) Q(l, j) Q(m, k)

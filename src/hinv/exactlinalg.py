@@ -35,7 +35,10 @@ def _echelon(rows, cols):
     the pivot rows and its own row against the pivot columns and its own
     column, and a skipped column is in none of these minors.  Later columns
     (right-hand sides) ride along.  The factor is the swap sign over the
-    product of the row scales.
+    product of the row scales.  Exactness does not need the row gcd, and it
+    costs time on the witness's leading blocks, but it pays on
+    `build_perturbation`'s Frobenius solve: that system's rows share large
+    common factors, which without it would ride through every step.
     """
     out, num, den = [], 1, 1
     for row in rows:

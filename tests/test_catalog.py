@@ -184,10 +184,10 @@ def test_q_from_sparsity_splits_match_block_generators():
 
 
 def test_q_from_sparsity_arbitrary_mixture_forces_column_sparsity():
-    # census of every top/bottom pattern for N = 3..8: each certifies optimal,
+    # census of every top/bottom pattern for N = 3..10: each certifies optimal,
     # and column j keeps exactly one certificate, positive, at row j+1 (top)
     # or N (bottom; also the last column, which the pattern leaves free)
-    for n in range(3, 9):
+    for n in range(3, 11):
         for pattern in itertools.product((H.TOP, H.BOTTOM), repeat=n - 2):
             verdict = H.certify(H.h_from_sparsity(H.SparsityChoice(n, pattern)))
             assert verdict.is_optimal, (n, pattern)

@@ -1,9 +1,13 @@
+import importlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import hinv as H
+from hinv import serialization as ser
+from hinv.cli import main
 from hinv.combinatorics import binom
 from hinv.exactlinalg import mat_det
 from hinv.oracles import (
@@ -249,7 +253,6 @@ def test_verdict_soundness_hook(catalog8):
 def test_certify_name_binds_function_module_stays_importable():
     # the package attribute hinv.certify is the function; the module stays
     # reachable through sys.modules, which from-imports and import_module use
-    import importlib
     import types
 
     import hinv.certify as bound
@@ -260,3 +263,63 @@ def test_certify_name_binds_function_module_stays_importable():
     assert isinstance(module, types.ModuleType)
     assert module.certify is H.certify
     assert module.certificates is certificates and module.invariance_report is invariance_report
+
+
+@pytest.fixture
+def p_calls(monkeypatch):
+    """Every (h, k, m) that hinv.certify hands to p_invariant while the test runs."""
+    module = importlib.import_module("hinv.certify")
+    original, calls = module.p_invariant, []
+
+    def counted(h, k, m):
+        calls.append((h, k, m))
+        return original(h, k, m)
+
+    monkeypatch.setattr(module, "p_invariant", counted)
+    return calls
+
+
+def test_certify_builds_one_p_table_per_m(p_calls):
+    # the invariance report is computed once and shared with certificates
+    rng = random.Random(23)
+    violator = random_certificate_violating_h(random.Random(5), 7)
+    cases = [H.h_from_sparsity(H.SparsityChoice(9, [rng.choice((H.TOP, H.BOTTOM))
+                                                     for _ in range(7)])),
+             H.HMatrix(violator.rows),  # fresh: sampling already drew the violator's report
+             H.HMatrix([["1/2"], ["0", "1/2"], ["0", "0", "1/2"]])]
+    for h in cases:
+        before = len(p_calls)
+        H.certify(h)
+        H.certify(h)
+        assert p_calls[before:] == [(h, h.n - 1, m) for m in range(1, h.n)]
+
+
+def test_falsify_builds_one_p_table_per_m(tmp_path, capsys, p_calls):
+    for seed in (1, 2, 3):
+        h = random_certificate_violating_h(random.Random(seed), 6)
+        path = tmp_path / f"v{seed}.json"
+        path.write_text(json.dumps(ser.hmatrix_to_dict(h)))
+        del p_calls[:]
+        assert main(["falsify", str(path), "--emit-vectors"]) == 0
+        capsys.readouterr()
+        assert len(p_calls) == h.n - 1, seed
+
+
+def test_invariance_report_is_memoized(p_calls):
+    h = H.h_dual(H.strange3())
+    report = H.invariance_report(h)
+    assert H.invariance_report(h) is report
+    assert H.certify(h).report is report
+    fresh = H.HMatrix(h.rows)
+    assert H.invariance_report(fresh) == report
+    assert len(p_calls) == 2 * (h.n - 1)
+
+
+def test_certificates_error_carries_the_memoized_report(p_calls):
+    h = H.HMatrix([["1/2"], ["0", "1/2"]])
+    report = H.invariance_report(h)
+    with pytest.raises(H.InvarianceError) as info:
+        H.certificates(h)
+    assert info.value.report is report
+    assert H.certify(h).report is report
+    assert len(p_calls) == h.n - 1

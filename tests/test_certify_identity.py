@@ -14,6 +14,10 @@ dual, so a second digest covers dense, mixed-sign certificates: one seeded
 A third digest covers ``hinv oracle-check`` for a few seeds and horizons and
 one ``--inject-bug`` run, so it pins the order of the seeded draws and the
 counterexample JSON.
+
+A fourth digest covers ``hinv sweep`` CSVs: the self-dual and second-mixed
+families over N = 4..10 and ohm and dual ohm over N = 2..16, so sharing one
+invariance report between the verdict's steps changes no sweep byte.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ from hinv.oracles import random_certificate_violating_h, random_h
 DIGEST = "15aa271b4e3b065f627bc3fb7999ec71e076a41c37fd9fa8ffc5a9cb52312dbe"
 VIOLATOR_DIGEST = "947c77668ece89a5432a56c36a871c358368c67a79278cbdaa4e59371a40987f"
 ORACLE_DIGEST = "d2897a0583d722d511ef1cf0fad07a66ca2d79d29c5488c2765260791c445363"
+SWEEP_DIGEST = "adb13bbd09db43603402391176d2c339fe18dd56f7a799894a6c56e0a2e8684c"
 
 
 def _population():
@@ -83,3 +88,14 @@ def test_oracle_check_output_digest(capsys):
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert codes == [0, 0, 0, 0, 6]
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_sweep_output_digest(capsys):
+    digest = hashlib.sha256()
+    for family, n_range in (("self-dual", "4:10"), ("second-mixed", "4:10"),
+                            ("ohm", "2:16"), ("dual-ohm", "2:16")):
+        code = main(["sweep", "--family", family, "--n-range", n_range])
+        out = capsys.readouterr().out
+        assert code == 0 and out.count(",optimal,") == len(out.splitlines()) - 1, family
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
