@@ -181,6 +181,8 @@ def cmd_falsify(args):
 
 
 def _oracle_from_spec(spec, dim):
+    import numpy as np
+
     from . import simulate
 
     if spec == "worstcase":
@@ -188,7 +190,14 @@ def _oracle_from_spec(spec, dim):
     if spec.startswith("rotation:"):
         return simulate.rotation_oracle(float(spec.split(":", 1)[1]))
     if spec.startswith("matrix:"):
-        return simulate.linear_oracle(_read_json(spec.split(":", 1)[1]))
+        path = spec.split(":", 1)[1]
+        try:
+            m = np.array(_read_json(path), dtype=float)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"it has shape {m.shape}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"matrix:{path} must be a square JSON array of numbers: {exc}") from None
+        return simulate.linear_oracle(m)
     raise ValueError(f"unknown oracle spec {spec!r}")
 
 

@@ -312,12 +312,12 @@ def _dense_trace_inner(x, y):
 
 
 def dense_constraints(h: HMatrix):
-    """The constraints of :func:`hinv.worstcase.constraint_matrices` as dense matrices.
+    """The constraints fixed by :func:`hinv.worstcase.constraint_matrices`, as dense matrices.
 
-    Written entrywise from the iterate coordinates, sharing no code with
-    the pair route.  Returns (a, b, c, d, e): the monotonicity matrices
-    keyed (i, j), the fixed-point matrices keyed i, the corner normalizer
-    and the two terminal-entry selectors.
+    Written entrywise from this module's own iterates (:func:`_iterate_offsets`),
+    sharing no code with the integer iterates of the witness stage.  Returns
+    (a, b, c, d, e): the monotonicity matrices keyed (i, j), the fixed-point
+    matrices keyed i, the corner normalizer and the two terminal-entry selectors.
     """
     n = h.n
     dim = n + 1

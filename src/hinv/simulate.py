@@ -12,7 +12,7 @@ evaluation is spent per step plus one for the terminal residual.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,13 +40,10 @@ class OperatorOracle:
         return f"OperatorOracle(dimension={self.dimension}, {self.description!r})"
 
 
-@dataclass
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "points residuals_sq bound_sq", defaults=(None,))):
     """Iterates, their squared residuals, and (when known) the optimal envelope."""
 
-    points: list
-    residuals_sq: list
-    bound_sq: list | None = None
+    __slots__ = ()
 
     @property
     def terminal_residual_sq(self) -> float:

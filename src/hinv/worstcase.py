@@ -18,10 +18,10 @@ fixed-step method:
    restored at first order, and the terminal entry strictly exceeds
    1/N^2.  The projections run in the (N+1)-dimensional complement of the
    constraint span, whose explicit basis comes from a forward recursion
-   over the iterates, and the defining traces are re-checked exactly on
-   the result.  Any operator interpolating the perturbed data (one exists
-   by nonexpansive extension of the finite data) then beats the optimal
-   rate, refuting the matrix.
+   over the integer iterates, and the defining traces are re-checked
+   exactly on the result from the same iterates.  Any operator
+   interpolating the perturbed data (one exists by nonexpansive extension
+   of the finite data) then beats the optimal rate, refuting the matrix.
 
 Everything except the final float emission (:func:`witness_vectors`) is
 exact rational arithmetic; square roots never appear because only squared
@@ -29,9 +29,8 @@ norms and inner products are ever compared, with the scalar r_sq/N carried
 symbolically.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import HMatrix, _p_table, as_rational
 from .certify import InternalConsistencyError, certificates
@@ -39,8 +38,7 @@ from .combinatorics import dot, gram, integer_rows, signed_binomial_transform
 from .exactlinalg import leading_principal_minors, solve_consistent
 
 
-@dataclass(frozen=True)
-class WorstCaseOperator:
+class WorstCaseOperator(namedtuple("WorstCaseOperator", "n g_matrix")):
     """The cyclic contraction G on R^n: T = I - 2G is orthogonal.
 
     G has 1/2 on the diagonal, -1/2 on the subdiagonal and +1/2 in the
@@ -48,8 +46,7 @@ class WorstCaseOperator:
     origin only.
     """
 
-    n: int
-    g_matrix: tuple
+    __slots__ = ()
 
     def g_rows(self):
         return [list(row) for row in self.g_matrix]
@@ -62,8 +59,7 @@ class WorstCaseOperator:
         ]
 
 
-@dataclass(frozen=True)
-class GramWitness:
+class GramWitness(namedtuple("GramWitness", "n gram epsilon direction violated_pair residual_sq")):
     """Exact interpolation data refuting the optimal rate for one matrix.
 
     ``gram`` is the (N+1)x(N+1) Gram matrix of the resolvent increments
@@ -73,12 +69,7 @@ class GramWitness:
     residual 4 * gram[N][N] strictly exceeds 4/N^2.
     """
 
-    n: int
-    gram: tuple
-    epsilon: Fraction
-    direction: tuple
-    violated_pair: tuple
-    residual_sq: Fraction
+    __slots__ = ()
 
     def gram_rows(self):
         return [list(row) for row in self.gram]
@@ -87,28 +78,19 @@ class GramWitness:
         return Fraction(4, self.n ** 2)
 
 
-@dataclass(frozen=True)
-class TraceLedger:
+class TraceLedger(namedtuple("TraceLedger", "n a_traces b_traces")):
     """All interpolation traces of one Gram matrix against one method."""
 
-    n: int
-    a_traces: dict
-    b_traces: dict
+    __slots__ = ()
 
     def all_zero(self) -> bool:
-        return all(v == 0 for v in self.a_traces.values()) and all(
-            v == 0 for v in self.b_traces.values()
-        )
+        return not any(self.a_traces.values()) and not any(self.b_traces.values())
 
     def zero_except(self, pair) -> bool:
-        """Zero everywhere, except strictly positive at the given a-trace."""
-        for key, v in self.a_traces.items():
-            if key == pair:
-                if v <= 0:
-                    return False
-            elif v != 0:
-                return False
-        return all(v == 0 for v in self.b_traces.values())
+        """Zero everywhere, except strictly positive at the a-trace keyed ``pair`` (False if none is)."""
+        pair = tuple(pair)
+        others = [v for key, v in self.a_traces.items() if key != pair]
+        return self.a_traces.get(pair, 0) > 0 and not any(others) and not any(self.b_traces.values())
 
 
 def worst_operator(n: int) -> WorstCaseOperator:
@@ -170,91 +152,59 @@ def gram_g0(h: HMatrix):
     return [[Fraction(x, n * den * den) for x in row] for row in gram(vectors)]
 
 
-@dataclass(frozen=True)
-class ConstraintBasis:
-    """Symbolic interpolation constraints for one method, as rank-2 vector pairs.
+class ConstraintBasis(namedtuple("ConstraintBasis", "n xs scale")):
+    """The iterates that fix every interpolation constraint of one method, on integers.
 
-    In the coordinates g_i = e_i (i = 1..N), y_0 - y_star = e_{N+1}, the
-    iterates are exact linear expressions in the basis, and each
+    In the coordinates g_i = e_i (i = 1..N), y_0 - y_star = e_{N+1}, each
     monotonicity inequality <x_i - x_j, g_i - g_j> >= 0 (resp.
-    <x_i - y_star, g_i> >= 0) becomes a trace inequality against a
-    symmetrized outer product sym(u v^T) = (u v^T + v u^T) / 2.  Each
-    constraint is stored as its pair (u, v):
-
-        a[(i, j)]: (x_i - x_j, e_i - e_j)     b[i]: (x_i, e_i)
-        c: (e_{N+1}, e_{N+1})                 d: (e_N, e_N - (2/N) e_{N+1})
-        e: (e_N, e_N)
-
-    ``c``, ``d``, ``e`` are the corner normalizer and the two terminal-entry
-    selectors used by the perturbation construction.  For a symmetric X the
-    trace of X against sym(u v^T) is u^T X v, so the traces and re-checks
-    never need the dense matrices, and the heads of the x_i are the
-    recursion coefficients of the complement basis
-    (:func:`_complement_basis`).  The pairs ``a`` are built from ``b`` on
-    first read; the witness re-checks need only the iterates
-    (:func:`_defining_traces`).  The entrywise dense reference is
-    :func:`hinv.oracles.dense_constraints`.
+    <x_i - y_star, g_i> >= 0) is a trace inequality against
+    sym((x_i - x_j)(e_i - e_j)^T) (resp. sym(x_i e_i^T)), sym(u v^T) =
+    (u v^T + v u^T) / 2, whose trace against a symmetric M is u^T M v.
+    ``xs`` holds scale * x_1..x_N as integer vectors of length N+1, with
+    ``scale`` the lcm of their denominators; their heads are the recursion
+    coefficients of :func:`_complement_basis`.  The entrywise dense
+    reference is :func:`hinv.oracles.dense_constraints`.
     """
 
-    n: int
-    b_pairs: dict
-    c_pair: tuple
-    d_pair: tuple
-    e_pair: tuple
-
-    @cached_property
-    def a_pairs(self):
-        b = self.b_pairs
-        return {(i, j): tuple([p - q for p, q in zip(u, v)] for u, v in zip(b[i], b[j]))
-                for i in range(2, self.n + 1) for j in range(1, i)}
-
-
-def _pair_trace(x, pair):
-    """Trace of a symmetric matrix x against sym(u v^T), i.e. u^T x v."""
-    u, v = pair
-    return dot(u, [dot(row, v) for row in x])
+    __slots__ = ()
 
 
 def constraint_matrices(h: HMatrix) -> ConstraintBasis:
+    """The iterates x_1..x_N of the method over (g_1..g_N, y_0 - y_star), scaled to integers."""
     n = h.n
-    dim = n + 1
-
-    def basis_vec(i):
-        vec = [Fraction(0)] * dim
-        vec[i - 1] = Fraction(1)
-        return vec
-
     # x_i = y_{i-1} - g_i with y_i = e_{N+1} - sum_j (2 * column sums) e_j.
-    b = {}
-    y = basis_vec(dim)
-    for i in range(1, n + 1):
-        b[i] = (list(y), basis_vec(i))
-        b[i][0][i - 1] -= 1
-        if i < n:
-            y = [yj - 2 * hij for yj, hij in zip(y, h.rows[i - 1])] + y[i:]
-    d = basis_vec(n)[:-1] + [Fraction(-2, n)]
-    return ConstraintBasis(
-        n=n,
-        b_pairs=b,
-        c_pair=(basis_vec(dim), basis_vec(dim)),
-        d_pair=(basis_vec(n), d),
-        e_pair=(basis_vec(n), basis_vec(n)),
-    )
+    xs = []
+    y = [0] * n + [1]
+    for i in range(n):
+        xs.append(y[:i] + [-1] + y[i + 1:])
+        if i < n - 1:
+            y = [yj - 2 * hij for yj, hij in zip(y, h.rows[i])] + y[i + 1:]
+    xs, scale = integer_rows(xs)
+    return ConstraintBasis(n=n, xs=xs, scale=scale)
 
 
 def interpolation_traces(gram, h: HMatrix) -> TraceLedger:
-    """Every interpolation trace of a Gram matrix against a method's constraints."""
+    """Every interpolation trace of a Gram matrix against a method's constraints.
+
+    With G the symmetrized Gram matrix (exact, and a no-op on a Gram matrix)
+    and G_i its ith row, the monotonicity trace at (i, j) is
+    (x_i - x_j) . (G_i - G_j) and the fixed-point trace at i is x_i . G_i,
+    each over the scale of the integer iterates of :func:`constraint_matrices`.
+    This bilinear form is the benchmark's independent witness check, so it
+    shares no code with the witness re-checks of :func:`_defining_traces`.
+    """
     n = h.n
     gram = [[as_rational(x) for x in row] for row in gram]
     if len(gram) != n + 1 or any(len(row) != n + 1 for row in gram):
         raise ValueError(f"gram matrix must be {n + 1}x{n + 1} for this method")
-    # <G, sym(u v^T)> = u^T sym(G) v; symmetrizing is exact and a no-op on a Gram matrix.
     gram = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(gram, zip(*gram))]
-    basis = constraint_matrices(h)
+    _, xs, scale = constraint_matrices(h)
     return TraceLedger(
         n=n,
-        a_traces={key: _pair_trace(gram, pair) for key, pair in basis.a_pairs.items()},
-        b_traces={key: _pair_trace(gram, pair) for key, pair in basis.b_pairs.items()},
+        a_traces={(i + 1, j + 1): Fraction(sum((p - q) * (r - s) for p, q, r, s in
+                                               zip(xs[i], xs[j], gram[i], gram[j])), scale)
+                  for i in range(1, n) for j in range(i)},
+        b_traces={i + 1: Fraction(dot(x, g), scale) for i, (x, g) in enumerate(zip(xs, gram))},
     )
 
 
@@ -271,16 +221,17 @@ def _complement_basis(basis: ConstraintBasis, i0: int, j0: int):
         A_ii   = d_i - sum_{l<i} U_{l,i} A_{l,i},
     and its trace against the constraint at (i0, j0) is -tau.  X(theta) = 0
     forces theta = 0, so X_k = X(e_k) is a basis of S_perp.  On integers:
-    with L the lcm of the U denominators and s = 2L, s^(i+j-2) A_ij is an
-    integer linear form in theta, and each returned matrix is s^(2N-2) X_k;
-    each power of s is computed once.
+    the heads xs[i][:i] of the basis's iterates are -L U_{l,i}, with L the
+    basis scale (the lcm of the U denominators, as every other iterate entry
+    is an integer); with s = 2L, s^(i+j-2) A_ij is an integer linear form in
+    theta, and each returned matrix is s^(2N-2) X_k; each power of s is
+    computed once.
     """
-    n = basis.n
-    heads, big_l = integer_rows([basis.b_pairs[i][0][: i - 1] for i in range(1, n + 1)])
+    n, xs, big_l = basis
     top = 2 * n - 2
     pw = [(2 * big_l) ** k for k in range(top + 1)]  # pw[k] = s^k
-    # heads[i][l] = -L U_{l,i} (0-based); w[i] lists (-L U_{l,i} s^(i-l-1), l) where nonzero.
-    w = [[(x * pw[i - l - 1], l) for l, x in enumerate(row) if x] for i, row in enumerate(heads)]
+    # xs[i][l] = -L U_{l,i} for l < i (0-based); w[i] lists (-L U_{l,i} s^(i-l-1), l) where nonzero.
+    w = [[(x * pw[i - l - 1], l) for l, x in enumerate(row[:i]) if x] for i, row in enumerate(xs)]
     # a[i][j][k] = s^(i+j) A_ij (0-based) at theta = e_k.
     a = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -346,10 +297,10 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     direction becomes a Fraction matrix once.  The construction succeeds
     exactly when the certificate at (i0, j0) is negative.  The five defining
     trace conditions are re-checked exactly on the integer direction M, from
-    one table T[a][b] = x_a . M[b] of the integer iterates
-    (:func:`_defining_traces`).  delta lies in the span of the basis whatever
-    its coefficients, so these checks guard the basis: a wrong recursion
-    entry leaves a nonzero trace.
+    one table T[a][b] = x_a . M[b] of the integer iterates whose heads built
+    the basis (:func:`_defining_traces`).  delta lies in the span of the
+    basis whatever its coefficients, so these checks guard the basis: a
+    wrong recursion entry leaves a nonzero trace.
     """
     n = h.n
     if not (1 <= j0 < i0 <= n):
@@ -372,8 +323,7 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     scaled = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(n + 1)]
               for r in range(n + 1)]  # N den delta
 
-    xs, _ = integer_rows([u for u, _ in basis.b_pairs.values()])
-    a, b, c, d, e = _defining_traces(xs, scaled)
+    a, b, c, d, e = _defining_traces(basis.xs, scaled)
     if a.pop((i0, j0)) <= 0:
         raise InternalConsistencyError("activated trace is not strictly positive")
     live = [f"monotonicity trace at {key}" for key, tr in a.items() if tr]

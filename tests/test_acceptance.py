@@ -19,9 +19,11 @@ import hinv as H
 from hinv.combinatorics import binom
 from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
+    _dense_trace_inner,
     check_binomial_sum_identities,
     check_hockey_stick,
     check_vandermonde_convolution,
+    dense_constraints,
     p_by_enumeration,
     q_by_enumeration,
     random_certificate_violating_h,
@@ -129,7 +131,12 @@ def _witness_soundness(h, witness):
     n = h.n
     assert witness.gram[n][n] == 1
     assert all(m > 0 for m in leading_principal_minors(witness.gram_rows()))
-    assert H.interpolation_traces(witness.gram, h).zero_except(witness.violated_pair)
+    ledger = H.interpolation_traces(witness.gram, h)
+    assert ledger.zero_except(witness.violated_pair)
+    # every trace again against the oracle's dense constraints, built from its own iterates
+    a, b, *_ = dense_constraints(h)
+    assert ledger.a_traces == {key: _dense_trace_inner(witness.gram, m) for key, m in a.items()}
+    assert ledger.b_traces == {i: _dense_trace_inner(witness.gram, m) for i, m in b.items()}
     assert witness.residual_sq == 4 * witness.gram[n - 1][n - 1]
     assert witness.residual_sq > F(4, n * n)
 

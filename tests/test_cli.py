@@ -345,6 +345,20 @@ def test_matrix_oracle_non_finite_entry_is_malformed(tmp_path, capsys):
         assert "entry (2,1)" in stderr and "not a finite number" in stderr
 
 
+def test_matrix_oracle_that_is_no_array_of_numbers_names_the_file(tmp_path, capsys):
+    path = write_matrix(tmp_path, "o.json", H.ohm(3))
+    mfile = tmp_path / "m.json"
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[0.5, 0.5]")
+    for bad in ('{"rows": [[0.5, 0.1], [0.1, 0.2]]}', "[[0.5, 0.1], [0.1]]", '[[0.5, "x"], [0.1, 0.2]]',
+                "[[0.5, 0.1]]"):
+        mfile.write_text(bad)
+        code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
+                                       "--oracle", f"matrix:{mfile}", "--y0", str(y0))
+        assert_clean_failure(code, stdout, stderr)
+        assert f"matrix:{mfile} must be a square JSON array of numbers" in stderr, bad
+
+
 def test_deeply_nested_json_is_malformed(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)

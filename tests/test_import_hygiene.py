@@ -2,7 +2,7 @@
 
 Each command runs in a fresh interpreter that reports on stderr which
 ``hinv`` modules, and whether numpy and dataclasses, ended up in
-``sys.modules``.  Its stdout and exit code must equal an in-process
+``sys.modules``; no command loads dataclasses.  Its stdout and exit code must equal an in-process
 ``cli.main`` run of the same argv, so the check also pins that the lazy
 imports change no output.
 """
@@ -27,15 +27,15 @@ REPORT = ("import json, sys; print(json.dumps({'hinv': sorted(m[5:] for m in sys
 PROBE = f"import sys, hinv.cli; c = hinv.cli.main(sys.argv[1:]); {REPORT}; sys.exit(c)"
 
 CORE = {"algebra", "combinatorics", "certify", "serialization", "cli"}
-# command -> (the hinv modules it loads, whether it loads dataclasses)
+# command -> the hinv modules it loads
 LOADS = {
-    "certify": (CORE, False),
-    "dual": (CORE, False),
-    "gen": (CORE | {"catalog"}, False),
-    "sweep": (CORE | {"catalog"}, False),
-    "falsify": (CORE | {"worstcase", "exactlinalg"}, True),
+    "certify": CORE,
+    "dual": CORE,
+    "gen": CORE | {"catalog"},
+    "sweep": CORE | {"catalog"},
+    "falsify": CORE | {"worstcase", "exactlinalg"},
     # the certificate-solvers check runs solve_lambda_by_elimination's mat_solve
-    "oracle-check": (CORE | {"oracles", "exactlinalg"}, False),
+    "oracle-check": CORE | {"oracles", "exactlinalg"},
 }
 
 
@@ -51,10 +51,6 @@ def loaded(stderr):
         return json.loads(stderr.strip().splitlines()[-1])
     except (IndexError, ValueError):
         pytest.fail(stderr[-2000:])
-
-
-def numpy_loaded(stderr):
-    return loaded(stderr)["numpy"]
 
 
 @pytest.fixture
@@ -96,20 +92,19 @@ def resolve(argv, files):
 
 @pytest.mark.parametrize("argv", EXACT, ids=" ".join)
 def test_exact_command_never_imports_numpy(argv, files, capsys):
-    # nor any hinv module, or dataclasses, that the command does not run
+    # nor dataclasses, nor any hinv module that the command does not run
     proc, code, stdout = run_both(capsys, resolve(argv, files))
     report = loaded(proc.stderr)
-    modules, uses_dataclasses = LOADS[argv[0]]
-    assert not report["numpy"]
-    assert set(report["hinv"]) == modules
-    assert report["dataclasses"] == uses_dataclasses
+    assert not report["numpy"] and not report["dataclasses"]
+    assert set(report["hinv"]) == LOADS[argv[0]]
     assert (proc.returncode, proc.stdout) == (code, stdout)
 
 
 @pytest.mark.parametrize("argv", FLOAT, ids=" ".join)
 def test_float_command_loads_numpy(argv, files, capsys):
     proc, code, stdout = run_both(capsys, resolve(argv, files))
-    assert numpy_loaded(proc.stderr)
+    report = loaded(proc.stderr)
+    assert report["numpy"] and not report["dataclasses"]
     assert proc.returncode == code == 0
     assert proc.stdout == stdout
 
@@ -132,7 +127,7 @@ def test_package_import_leaves_numpy_out():
     proc = fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr[-2000:]
     # a re-exported simulator name loads numpy on first use
-    assert numpy_loaded(fresh_python("-c", f"import hinv; hinv.run; {REPORT}").stderr)
+    assert loaded(fresh_python("-c", f"import hinv; hinv.run; {REPORT}").stderr)["numpy"]
 
 
 def test_public_api_unchanged():

@@ -9,6 +9,7 @@ from hinv.combinatorics import binom, integer_rows
 from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
     _dense_trace_inner,
+    _iterate_offsets,
     dense_constraints,
     gram_by_cyclic_run,
     perturbation_by_normal_equations,
@@ -16,6 +17,7 @@ from hinv.oracles import (
     random_h,
     random_invariant_h,
     random_noninvariant_h,
+    random_rational,
 )
 from hinv.worstcase import constraint_matrices
 
@@ -174,6 +176,28 @@ def test_interpolation_traces_dimension_check():
         H.interpolation_traces([[F(1)]], H.ohm(3))
 
 
+def test_zero_except_needs_the_positive_trace_at_a_monotonicity_pair():
+    # every trace of G0 is zero, so no pair qualifies, including pairs that key no trace;
+    # a witness's ledger qualifies at its violated pair only
+    h = H.ohm(4)
+    ledger = H.interpolation_traces(H.gram_g0(h), h)
+    assert ledger.all_zero()
+    for pair in ((9, 9), (1, 2), (2, 1), (4, 3)):
+        assert not ledger.zero_except(pair), pair
+    v = H.h_dual(H.strange3())
+    ledger = H.interpolation_traces(H.suboptimality_witness(v, 4, 2).gram, v)
+    assert ledger.zero_except((4, 2)) and ledger.zero_except([4, 2])
+    for pair in ((2, 4), (3, 1), (9, 9)):
+        assert not ledger.zero_except(pair), pair
+
+
+def test_records_are_named_tuples():
+    assert constraint_matrices(H.ohm(3))._fields == ("n", "xs", "scale")
+    traj = H.Trajectory([np.zeros(2)], [0.0])
+    assert traj.bound_sq is None and traj.terminal_residual_sq == 0.0
+    assert repr(H.worst_operator(2)).startswith("WorstCaseOperator(n=2, g_matrix=((")
+
+
 def test_adjugate_spotcheck(catalog8):
     for label, h in catalog8:
         assert H.adjugate_spotcheck(h), label
@@ -268,29 +292,30 @@ def _integer_pairs(pairs):
 
 
 def test_rank2_pair_identities_match_dense_traces():
-    # <X, sym(uv^T)> = u^T X v against the entrywise dense constraints of the oracle,
-    # and, over integers, <sym(uv^T), sym(pq^T)>: every trace that _defining_traces
-    # reads with a constraint matrix itself as M equals the dense inner product,
-    # times the scales of the iterates and of M
-    from hinv.worstcase import _defining_traces, _pair_trace
+    # <M, sym(uv^T)> = u^T M v against the entrywise dense constraints of the oracle, for M
+    # each dense constraint matrix and a seeded random symmetric M (every trace of G0 is 0):
+    # interpolation_traces equals the dense traces, and every trace that _defining_traces
+    # reads on the integer iterates equals the dense inner product, times the scales of the
+    # iterates and of M
+    from hinv.worstcase import _defining_traces
 
+    rng = random.Random(81)
     for h in (H.h_dual(H.strange3()), random_invariant_h(random.Random(8), 6)):
         n = h.n
         basis = constraint_matrices(h)
         a, b, c, d, e = dense_constraints(h)
-        assert a.keys() == basis.a_pairs.keys() and b.keys() == basis.b_pairs.keys()
-        pairs = [basis.a_pairs[k] for k in a] + [basis.b_pairs[i] for i in b]
-        pairs += [basis.c_pair, basis.d_pair, basis.e_pair]
-        mats = list(a.values()) + list(b.values()) + [c, d, e]
-        g0 = H.gram_g0(h)
-        xs, scale = integer_rows([u for u, _ in basis.b_pairs.values()])
-        for p, pm in zip(pairs, mats):
-            assert pm == [list(row) for row in zip(*pm)]
-            assert _pair_trace(g0, p) == _dense_trace_inner(g0, pm)
+        m = [[random_rational(rng) for _ in range(n + 1)] for _ in range(n + 1)]
+        m = [[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
+        for pm in [*a.values(), *b.values(), c, d, e, m]:
+            assert pm == transpose(pm)
+            ledger = H.interpolation_traces(pm, h)
+            assert ledger.a_traces == {key: _dense_trace_inner(pm, qm) for key, qm in a.items()}
+            assert ledger.b_traces == {i: _dense_trace_inner(pm, qm) for i, qm in b.items()}
             ints, den = integer_rows(pm)
-            ta, tb, tc, td, te = _defining_traces(xs, ints)
-            assert ta == {key: scale * den * _dense_trace_inner(pm, qm) for key, qm in a.items()}
-            assert tb == [scale * den * _dense_trace_inner(pm, qm) for qm in b.values()]
+            ta, tb, tc, td, te = _defining_traces(basis.xs, ints)
+            scale = basis.scale * den
+            assert ta == {key: scale * _dense_trace_inner(pm, qm) for key, qm in a.items()}
+            assert tb == [scale * _dense_trace_inner(pm, qm) for qm in b.values()]
             assert tc == den * _dense_trace_inner(pm, c)
             assert td == n * den * _dense_trace_inner(pm, d) and te == den * _dense_trace_inner(pm, e)
 
@@ -392,9 +417,11 @@ def _span_route_perturbation(h, i0, j0):
     """The direction by projecting the selectors off span(S) with S's own trace-Gram.
 
     The route that preceded the complement basis, kept here as a reference:
-    constraint pairs scaled to integers, one elimination of the
-    N(N+1)/2-member span's Gram matrix for both selectors, the rank-one
-    update for the last member, and the dense sum of the combination.
+    each constraint as a pair (u, v) with sym(u v^T) its matrix, built from
+    the oracle's iterates (``_iterate_offsets``) and scaled to integers, one
+    elimination of the N(N+1)/2-member span's Gram matrix for both
+    selectors, the rank-one update for the last member, and the dense sum
+    of the combination.
     """
     from operator import mul
 
@@ -404,11 +431,23 @@ def _span_route_perturbation(h, i0, j0):
         (u, v), (s, t) = p, q
         return sum(map(mul, u, s)) * sum(map(mul, v, t)) + sum(map(mul, u, t)) * sum(map(mul, v, s))
 
-    basis = constraint_matrices(h)
+    n = h.n
+
+    def unit(i):
+        return [F(int(r == i - 1)) for r in range(n + 1)]
+
+    def sub(u, v):
+        return [p - q for p, q in zip(u, v)]
+
+    w = _iterate_offsets(h)
+    xs = {i: w[i][1:] + [F(1)] for i in range(1, n + 1)}  # over g_1..g_N, y_0 - y_star
+    a_pairs = {(i, j): (sub(xs[i], xs[j]), sub(unit(i), unit(j)))
+               for i in range(2, n + 1) for j in range(1, i)}
     scale, (d, e, c, *rest) = _integer_pairs(
-        [basis.d_pair, basis.e_pair, basis.c_pair, *basis.a_pairs.values(), *basis.b_pairs.values()]
+        [(unit(n), unit(n)[:-1] + [F(-2, n)]), (unit(n), unit(n)), (unit(n + 1), unit(n + 1)),
+         *a_pairs.values(), *((xs[i], unit(i)) for i in range(1, n + 1))]
     )
-    a = dict(zip(basis.a_pairs, rest))
+    a = dict(zip(a_pairs, rest))
     shared = [pair for key, pair in a.items() if key != (i0, j0)] + rest[len(a):] + [c]
     gram = [[inner(p, q) for q in shared] for p in shared]
     rhs = [[inner(p, t) for t in (d, e)] for p in shared]
@@ -421,7 +460,7 @@ def _span_route_perturbation(h, i0, j0):
     we = 1 - (de / ee if ee else 0)
     coeffs = [wd, we] + [-wd * x - we * y for x, y in zip(cd, ce)]
     (ints,), den = integer_rows([coeffs])
-    dim = h.n + 1
+    dim = n + 1
     m = [[0] * dim for _ in range(dim)]
     for k, (u, v) in zip(ints, [d, e] + shared):
         for r in range(dim):
@@ -446,6 +485,10 @@ def _check_witness(h, w):
     assert all(m > 0 for m in leading_principal_minors(w.gram_rows()))
     ledger = H.interpolation_traces(w.gram, h)
     assert ledger.zero_except(w.violated_pair)
+    # the same traces from the oracle's dense constraints, which share no code with the ledger's
+    a, b, *_ = dense_constraints(h)
+    assert ledger.a_traces == {key: _dense_trace_inner(w.gram, m) for key, m in a.items()}
+    assert ledger.b_traces == {i: _dense_trace_inner(w.gram, m) for i, m in b.items()}
 
 
 def test_witness_for_strange_dual():
