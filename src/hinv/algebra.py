@@ -18,6 +18,9 @@ machinery built on it:
   matrix with nonzero diagonal and its table of terminal partial
   invariants.
 
+One chain recursion, ``_p_table``, builds every invariant table: the Q table
+of a matrix is the differences of consecutive rows of its dual's P table.
+
 All arithmetic is exact over ``fractions.Fraction``; nothing here rounds,
 and floats are rejected at the door.
 """
@@ -215,21 +218,16 @@ def _q_table(h: HMatrix, k: int):
     """Q(k, m, j) by columns: ``cols[j-1][m-1]`` for j = 1..k and m = 1..k-j+1.
 
     Only the non-vacuous orders are stored; Q(k, m, j) = 0 for m > k - j + 1.
-    Column j's heads h_{j,j} + ... + h_{l-1,j}, l = j+1..k, are summed once,
-    before the m loop: O(k^2) column sums and O(k^3) products.  They come
-    through :meth:`HMatrix.column_sum` for the reason given in `_p_table`.
+    A chain of H's k-row prefix that starts in column j is, reversed, a chain
+    of that prefix's dual A that ends in row k+1-j, so
+
+        Q(k, m, j; H) = P(k+1-j, m; A) - P(k-j, m; A)
+
+    and the whole table is differences of consecutive rows of one
+    :func:`_p_table` of A (P(k-j, k-j+1; A) = 0 pads the shorter row).
     """
-    cols = [[h.column_sum(j, j, k)] for j in range(1, k + 1)]
-    heads = [[h.column_sum(j, j, i) for i in range(j, k)] for j in range(1, k + 1)]
-    for m in range(1, k):
-        for j in range(1, k - m + 1):
-            acc = Fraction(0)
-            for ell in range(j + 1, k - m + 2):
-                prev = cols[ell - 1][m - 1]
-                if prev:
-                    acc += heads[j - 1][ell - j - 1] * prev
-            cols[j - 1].append(acc)
-    return cols
+    p = _p_table(h_dual(h if k == h.n_minus_1 else h.truncate(k)), k)
+    return [[hi - lo for hi, lo in zip(p[t][1:], p[t - 1][1:] + [0])] for t in range(k, 0, -1)]
 
 
 def q_partial(h: HMatrix, k: int, m: int, j: int) -> Fraction:
@@ -270,24 +268,14 @@ def h_dual(h: HMatrix) -> HMatrix:
 
     An involution that preserves every terminal invariant P(N-1, m).
     """
-    n = h.n
-    return HMatrix([
-        [h.entry(n - j, n - k) for j in range(1, k + 1)]
-        for k in range(1, h.n_minus_1 + 1)
-    ])
+    rows, n = h.rows, h.n
+    return HMatrix([[rows[n - j - 1][n - k - 1] for j in range(1, k + 1)] for k in range(1, n)])
 
 
 def q_profile(h: HMatrix) -> QProfile:
     """All terminal partial invariants Q(N-1, k, j) of the matrix as one table."""
-    size = h.n_minus_1
-    if size == 0:
-        return QProfile(1, {})
-    values = {
-        (k, j): v
-        for j, col in enumerate(_q_table(h, size), start=1)
-        for k, v in enumerate(col, start=1)
-    }
-    return QProfile(h.n, values)
+    cols = enumerate(_q_table(h, h.n_minus_1), start=1)
+    return QProfile(h.n, {(k, j): v for j, col in cols for k, v in enumerate(col, start=1)})
 
 
 def h_from_q_profile(q: QProfile) -> HMatrix:

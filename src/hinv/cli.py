@@ -40,6 +40,11 @@ EXIT_NOTHING_TO_FALSIFY = 4
 EXIT_FALSIFY_INVARIANCE = 5
 EXIT_ORACLE_MISMATCH = 6
 
+# family name -> its generator in hinv.catalog; the mixed families also take the split n'
+FAMILIES = {"ohm": "ohm", "dual-ohm": "dual_ohm", "self-dual": "self_dual_mixed",
+            "second-mixed": "second_mixed", "strange3": "strange3"}
+MIXED_FAMILIES = ("self-dual", "second-mixed")
+
 
 def _use_color():
     env = os.environ.get("HINV_COLOR")
@@ -80,6 +85,21 @@ def _read_json(path):
             raise ValueError("JSON nesting is too deep") from None
 
 
+def _read_floats(path):
+    """The JSON array of numbers in a file as a float array; a string, boolean or null entry is a TypeError."""
+    import numpy as np
+
+    doc = _read_json(path)
+    stack = [doc]
+    while stack:  # not recursive: the parser accepts nesting deeper than a recursive walk could
+        x = stack.pop()
+        if type(x) is list:
+            stack.extend(x)
+        elif type(x) not in (int, float):
+            raise TypeError(f"entry {json.dumps(x)[:40]} is not a number")
+    return np.array(doc, dtype=float)
+
+
 def _load_hmatrix(path):
     try:
         return serialization.hmatrix_from_dict(_read_json(path))
@@ -91,19 +111,12 @@ def _load_hmatrix(path):
 def _generate(family, n, n_prime):
     from . import catalog  # only gen and sweep build family members
 
-    if family in ("self-dual", "second-mixed") and n_prime is None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family in MIXED_FAMILIES and n_prime is None:
         raise ValueError(f"--n-prime is required for {family}")
-    if family == "ohm":
-        return catalog.ohm(n)
-    if family == "dual-ohm":
-        return catalog.dual_ohm(n)
-    if family == "self-dual":
-        return catalog.self_dual_mixed(n, n_prime)
-    if family == "second-mixed":
-        return catalog.second_mixed(n, n_prime)
-    if family == "strange3":
-        return catalog.strange3()
-    raise ValueError(f"unknown family {family!r}")
+    sizes = () if family == "strange3" else (n, n_prime) if family in MIXED_FAMILIES else (n,)
+    return getattr(catalog, FAMILIES[family])(*sizes)
 
 
 def cmd_gen(args):
@@ -181,8 +194,6 @@ def cmd_falsify(args):
 
 
 def _oracle_from_spec(spec, dim):
-    import numpy as np
-
     from . import simulate
 
     if spec == "worstcase":
@@ -192,7 +203,7 @@ def _oracle_from_spec(spec, dim):
     if spec.startswith("matrix:"):
         path = spec.split(":", 1)[1]
         try:
-            m = np.array(_read_json(path), dtype=float)
+            m = _read_floats(path)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"it has shape {m.shape}")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -224,7 +235,7 @@ def cmd_simulate(args):
             y0 = simulate.worst_case_start(h.n, args.r_sq if args.r_sq is not None else 1.0)
         else:
             try:
-                y0 = np.array(_read_json(args.y0), dtype=float)
+                y0 = _read_floats(args.y0)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"--y0 must be a JSON array of numbers: {exc}") from None
             if y0.shape != (oracle.dimension,):  # before |y0|^2, the default --r-sq
@@ -284,7 +295,7 @@ def cmd_sweep(args):
             cells.append((args.family, 4, None))  # fixed-size member
         else:
             for n in ns:
-                if args.family in ("self-dual", "second-mixed"):
+                if args.family in MIXED_FAMILIES:
                     primes = (
                         _parse_range(args.n_prime_range)
                         if args.n_prime_range
@@ -331,7 +342,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named family member")
-    p.add_argument("family", choices=["ohm", "dual-ohm", "self-dual", "second-mixed", "strange3"])
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int, default=4, help="horizon N (ignored by strange3)")
     p.add_argument("--n-prime", type=int, default=None, help="split column for mixed families")
     p.add_argument("--extend", type=int, default=None,
@@ -368,8 +379,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="certify a family across a range of sizes (CSV)")
-    p.add_argument("--family", required=True,
-                   choices=["ohm", "dual-ohm", "self-dual", "second-mixed", "strange3"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n-range", required=True, help="A:B inclusive")
     p.add_argument("--n-prime-range", default=None, help="A:B inclusive (mixed families)")
     p.set_defaults(func=cmd_sweep)

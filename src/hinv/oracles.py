@@ -579,6 +579,32 @@ def random_invariant_h(rng: random.Random, n: int) -> HMatrix:
     return h_from_q_profile(random_q_profile(rng, n))
 
 
+def random_hull_h(rng: random.Random, n: int) -> HMatrix:
+    """Random point of the hull of the top/bottom profiles, a source of dense certificates.
+
+    Draws 2 to 5 distinct sparsity patterns (fewer when N = 3 allows only two)
+    and positive rational weights summing to 1, and returns the matrix of the
+    weighted sum of their :func:`hinv.catalog.q_from_sparsity` profiles.  The
+    sum stays on the invariance level set and keeps a positive anti-diagonal.
+    Every draw tried up to N = 12 certified optimal with more than N-1
+    nonzero certificates; that is observed, not proved.
+    """
+    from .catalog import BOTTOM, TOP, SparsityChoice, q_from_sparsity  # oracle-check never draws one
+
+    if n < 3:
+        raise ValueError("sparsity patterns need a horizon of at least 3")
+    count = rng.randint(2, min(5, 2 ** (n - 2)))
+    weights = [rng.randint(1, 4) for _ in range(count)]
+    total = sum(weights)
+    values = {}
+    for bits, weight in zip(rng.sample(range(2 ** (n - 2)), count), weights):
+        pattern = [TOP if bits >> i & 1 else BOTTOM for i in range(n - 2)]
+        share = Fraction(weight, total)
+        for key, v in q_from_sparsity(SparsityChoice(n, pattern)).items():
+            values[key] = values.get(key, Fraction(0)) + share * v
+    return h_from_q_profile(QProfile(n, values))
+
+
 def random_certificate_violating_h(rng: random.Random, n: int, max_tries: int = 2000) -> HMatrix:
     """Rejection-sample an invariant matrix with at least one negative certificate."""
     for _ in range(max_tries):

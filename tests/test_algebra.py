@@ -202,16 +202,24 @@ def test_q_recursion_identity():
 
 
 def test_enumeration_oracle_agreement():
+    # Q is read off the dual's P table: a chain of the k-row prefix that starts
+    # in column j is, reversed, a chain of the prefix's dual that ends in row k+1-j
     rng = random.Random(41)
-    for size in range(1, 7):
+    zero_diagonals = 0
+    for size in range(1, 8):
         for _ in range(2):
             h = random_h(rng, size)
+            zero_diagonals += any(h.entry(i, i) == 0 for i in range(1, size + 1))
             for k in range(1, size + 1):
+                dual = H.h_dual(h.truncate(k))
                 for m in range(k + 1):
                     assert H.p_invariant(h, k, m) == p_by_enumeration(h, k, m)
                 for m in range(1, k + 1):
                     for j in range(1, k + 1):
-                        assert H.q_partial(h, k, m, j) == q_by_enumeration(h, k, m, j)
+                        q = q_by_enumeration(h, k, m, j)
+                        assert H.q_partial(h, k, m, j) == q
+                        assert p_by_enumeration(dual, k + 1 - j, m) - p_by_enumeration(dual, k - j, m) == q
+    assert zero_diagonals
 
 
 def test_q_profile_strange_full_table():
@@ -330,4 +338,4 @@ def test_hoisted_tables_match_unhoisted_loops():
         tables = assert_tables_match_unhoisted(h)
         zero_prevs += sum(v == 0 for cols in tables for col in cols[1:] for v in col)
         zero_tails += sum(h.column_sum(j, j, t) == 0 for t in range(1, h.n) for j in range(1, t + 1))
-    assert zero_tails and zero_prevs  # both recursions' zero skips are exercised
+    assert zero_tails and zero_prevs  # the zero skips of _p_table and of both reference loops run

@@ -13,6 +13,7 @@ from hinv.exactlinalg import mat_det
 from hinv.oracles import (
     random_certificate_violating_h,
     random_h,
+    random_hull_h,
     random_invariant_h,
     random_rational,
     s_by_expansion,
@@ -151,6 +152,26 @@ def test_elimination_and_profile_round_trip_at_large_horizons():
         h = H.h_from_sparsity(H.SparsityChoice(n, pattern))
         assert H.solve_lambda_by_elimination(h) == H.certificates(h), (n, pattern)
         assert H.h_from_q_profile(H.q_profile(h)) == h, (n, pattern)
+
+
+def test_hull_matrices_are_optimal_with_dense_certificates():
+    # the catalog's optimal members have one nonzero certificate per column; hull points have more
+    rng = random.Random(37)
+    for n in range(4, 11):
+        for _ in range(3):
+            h = random_hull_h(rng, n)
+            lam = H.certificates(h)
+            assert H.solve_lambda_by_elimination(h) == lam, n
+            assert H.certify(h).is_optimal, n
+            assert sum(1 for _, v in lam.items() if v) > n - 1, n
+
+
+def test_hull_certificates_agree_with_elimination_at_larger_horizons():
+    # optimality is unchecked here, so only the two certificate routes are compared
+    rng = random.Random(43)
+    for n in range(11, 15):
+        h = random_hull_h(rng, n)
+        assert H.solve_lambda_by_elimination(h) == H.certificates(h), n
 
 
 def test_elimination_refuses_noninvariant():

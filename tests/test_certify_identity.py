@@ -18,6 +18,11 @@ counterexample JSON.
 A fourth digest covers ``hinv sweep`` CSVs: the self-dual and second-mixed
 families over N = 4..10 and ohm and dual ohm over N = 2..16, so sharing one
 invariance report between the verdict's steps changes no sweep byte.
+
+A fifth digest covers optimal matrices with dense certificates: one seeded
+``random_hull_h`` for each N = 4..14.  A sixth covers the terminal
+partial-invariant profile of every catalog member with N <= 24, so the Q
+table behind the certificates and the profile bijection changes no value.
 """
 
 import hashlib
@@ -27,12 +32,14 @@ import random
 import hinv as H
 from hinv import serialization as ser
 from hinv.cli import main
-from hinv.oracles import random_certificate_violating_h, random_h
+from hinv.oracles import random_certificate_violating_h, random_h, random_hull_h
 
 DIGEST = "15aa271b4e3b065f627bc3fb7999ec71e076a41c37fd9fa8ffc5a9cb52312dbe"
 VIOLATOR_DIGEST = "947c77668ece89a5432a56c36a871c358368c67a79278cbdaa4e59371a40987f"
 ORACLE_DIGEST = "d2897a0583d722d511ef1cf0fad07a66ca2d79d29c5488c2765260791c445363"
 SWEEP_DIGEST = "adb13bbd09db43603402391176d2c339fe18dd56f7a799894a6c56e0a2e8684c"
+HULL_DIGEST = "8718a9f0533734c4ca0f3df2fe8a43c48eee86bdef58ebba5ba4f41d605291f6"
+PROFILE_DIGEST = "cb74800aff126f007ac7e0e84ff8b99eb12418861d4103fbce833787b8758814"
 
 
 def _population():
@@ -99,3 +106,27 @@ def test_sweep_output_digest(capsys):
         assert code == 0 and out.count(",optimal,") == len(out.splitlines()) - 1, family
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_certify_output_digest_on_hull_matrices(tmp_path, capsys):
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for n in range(4, 15):
+        path = tmp_path / f"hull{n}.json"
+        path.write_text(json.dumps(ser.hmatrix_to_dict(random_hull_h(rng, n))))
+        code = main(["certify", str(path)])
+        assert code == 0, n
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == HULL_DIGEST
+
+
+def test_q_profile_digest_on_the_catalog():
+    digest = hashlib.sha256()
+    cases = [H.strange3()]
+    for n in range(2, 25):
+        cases += [H.ohm(n), H.dual_ohm(n)]
+        for n_prime in range(2, n - 1):
+            cases += [H.self_dual_mixed(n, n_prime), H.second_mixed(n, n_prime)]
+    for h in cases:
+        digest.update(json.dumps(ser.qprofile_to_dict(H.q_profile(h))).encode() + b"\n")
+    assert digest.hexdigest() == PROFILE_DIGEST

@@ -210,14 +210,17 @@ def test_simulate_wrong_dimension_start_is_malformed(tmp_path, capsys):
     # the default --r-sq is |y0|^2, which must not run before the shape check
     path = write_matrix(tmp_path, "o.json", H.ohm(4))
     y0 = tmp_path / "y0.json"
-    for text in ("[1.0, 0.5, 0.25]", "5", "[[0.5, 0.5]]", "[[0.5], [0.5]]", '"ab"', "{}"):
+    not_numbers = ('"ab"', "{}", '["0.5", "0.5"]', "[true, 0.5]", "[0.5, null]")
+    for text in ("[1.0, 0.5, 0.25]", "5", "[[0.5, 0.5]]", "[[0.5], [0.5]]", *not_numbers):
         y0.write_text(text)
         for r_sq in ((), ("--r-sq", "1")):
             code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
                                            "--oracle", "rotation:0.3", "--y0", str(y0), *r_sq)
             assert_clean_failure(code, stdout, stderr)
             assert "--y0" in stderr and "matmul" not in stderr, (text, r_sq)
-            if text[0] in "5[":
+            if text in not_numbers:
+                assert "--y0 must be a JSON array of numbers" in stderr, (text, r_sq)
+            else:
                 assert "shape" in stderr, (text, r_sq)
 
 
@@ -351,7 +354,8 @@ def test_matrix_oracle_that_is_no_array_of_numbers_names_the_file(tmp_path, caps
     y0 = tmp_path / "y0.json"
     y0.write_text("[0.5, 0.5]")
     for bad in ('{"rows": [[0.5, 0.1], [0.1, 0.2]]}', "[[0.5, 0.1], [0.1]]", '[[0.5, "x"], [0.1, 0.2]]',
-                "[[0.5, 0.1]]"):
+                "[[0.5, 0.1]]", '[["0.5", "0.1"], ["0.1", "0.2"]]', "[[0.5, 0.1], [0.1, true]]",
+                "[[false, 0.1], [0.1, 0.2]]", "[[0.5, 0.1], [null, 0.2]]"):
         mfile.write_text(bad)
         code, stdout, stderr = run_cli(capsys, "simulate", "--h", path,
                                        "--oracle", f"matrix:{mfile}", "--y0", str(y0))
