@@ -9,6 +9,8 @@ optimal family from certificate-sparsity patterns, and simulates methods
 against operator oracles in floats.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     DegenerateProfileError,
     HMatrix,
@@ -36,70 +38,14 @@ from .certify import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "HMatrix",
-    "QProfile",
-    "CertificateSet",
-    "InvarianceReport",
-    "Verdict",
-    "GramWitness",
-    "TraceLedger",
-    "WorstCaseOperator",
-    "OperatorOracle",
-    "Trajectory",
-    "SparsityChoice",
-    "DegenerateProfileError",
-    "DegeneratePatternError",
-    "InvarianceError",
-    "InternalConsistencyError",
-    "STATUS_OPTIMAL",
-    "STATUS_INVARIANCE_VIOLATED",
-    "STATUS_CERTIFICATE_VIOLATED",
-    "TOP",
-    "BOTTOM",
-    "p_invariant",
-    "q_partial",
-    "d_value",
-    "h_dual",
-    "q_profile",
-    "h_from_q_profile",
-    "invariance_report",
-    "s_coefficients",
-    "certificates",
-    "solve_lambda_by_elimination",
-    "certify",
-    "necessity_triangular_solve",
-    "ohm",
-    "dual_ohm",
-    "self_dual_mixed",
-    "second_mixed",
-    "strange3",
-    "q_from_sparsity",
-    "h_from_sparsity",
-    "anytime_extend",
-    "is_ohm_tail",
-    "worst_operator",
-    "terminal_gy",
-    "worst_case_residual_sq",
-    "gram_g0",
-    "interpolation_traces",
-    "adjugate_spotcheck",
-    "build_perturbation",
-    "suboptimality_witness",
-    "witness_vectors",
-    "run",
-    "linear_oracle",
-    "anytime_check",
-    "worst_case_oracle",
-    "worst_case_start",
-    "rotation_oracle",
-]
-
-# Every other name resolves on first use (PEP 562) from the module that owns
-# it: a bare ``import hinv`` loads algebra, combinatorics and certify only, the
-# catalog, witness and oracle modules load with their first name, and numpy
-# only with a hinv.simulate name.  The names catalog, worstcase and exactlinalg
-# resolve to the modules themselves.
+# The public names are the ones imported above and the keys of _LAZY below;
+# __all__ is read off both, so each name is written once.  Every _LAZY name
+# resolves on first use (PEP 562) from the module that owns it: a bare
+# ``import hinv`` loads algebra, combinatorics and certify only, the catalog,
+# witness and oracle modules load with their first name, and numpy only with a
+# hinv.simulate name.  The keys catalog, worstcase and exactlinalg resolve to
+# the modules themselves and, like the submodules the imports above bind, are
+# not in __all__.
 _LAZY = {
     **dict.fromkeys(("BOTTOM", "TOP", "DegeneratePatternError", "SparsityChoice", "anytime_extend",
                      "dual_ohm", "h_from_sparsity", "is_ohm_tail", "ohm", "q_from_sparsity",
@@ -114,6 +60,10 @@ _LAZY = {
                     "simulate"),
     "exactlinalg": "exactlinalg",
 }
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + [name for name, module in _LAZY.items() if name != module])
+del _ModuleType
 
 
 def __getattr__(name):

@@ -13,11 +13,13 @@ human commentary goes to stderr):
     hinv sweep --family NAME --n-range A:B [--n-prime-range A:B]
     hinv oracle-check --seed S [--n-max K] [--inject-bug]
 
-Exit codes: 0 success; 1 malformed input; certify: 2 invariance violated,
-3 certificate violated; falsify: 4 nothing to falsify (input optimal),
-5 input violates invariance (excess report emitted instead); oracle-check:
-6 on any oracle mismatch.  Set HINV_COLOR=0/1 to force-disable/enable the
-coloring of stderr summaries.
+Exit codes: 0 success; 1 malformed input or a bad command line (one stderr
+line, as argparse words it); certify: 2 invariance violated, 3 certificate
+violated; falsify: 4 nothing to falsify (input optimal), 5 input violates
+invariance (excess report emitted instead); oracle-check: 6 on any oracle
+mismatch.  A stdout closed early (``| head``) drops the rest of the output
+without a word and keeps the exit code.  Set HINV_COLOR=0/1 to
+force-disable/enable the coloring of stderr summaries.
 """
 
 import argparse
@@ -66,7 +68,10 @@ def _write_out(payload: str, path):
     if not payload.endswith("\n"):
         payload += "\n"
     if path in (None, "-"):
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+        except BrokenPipeError:  # main drops the rest; the command keeps its verdict code
+            pass
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -111,8 +116,6 @@ def _load_hmatrix(path):
 def _generate(family, n, n_prime):
     from . import catalog  # only gen and sweep build family members
 
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     if family in MIXED_FAMILIES and n_prime is None:
         raise ValueError(f"--n-prime is required for {family}")
     sizes = () if family == "strange3" else (n, n_prime) if family in MIXED_FAMILIES else (n,)
@@ -324,17 +327,21 @@ def cmd_oracle_check(args):
     from . import oracles  # the slow routes load only here
 
     lines, counterexample = oracles.oracle_check_report(args.seed, args.n_max, args.inject_bug)
-    for line in lines:
-        print(line)
     if counterexample is not None:
-        print(json.dumps({"counterexample": counterexample}))
-        return EXIT_ORACLE_MISMATCH
-    return EXIT_OK
+        lines.append(json.dumps({"counterexample": counterexample}))
+    _write_out("\n".join(lines), None)
+    return EXIT_OK if counterexample is None else EXIT_ORACLE_MISMATCH
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 1 with one line, as for any malformed input: 2 is a certify verdict
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache  # one parser per process: prog is fixed and no default is mutable
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hinv",
         description="Exact certification and construction of rate-optimal "
                     "fixed-step methods for nonexpansive fixed-point problems.",
@@ -394,11 +401,16 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    code = EXIT_OK  # what sweep and simulate have earned once their CSV starts
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's exit flush
     except SystemExit as exc:
-        return exc.code
+        code = exc.code
+    except BrokenPipeError:  # the reader stopped early (`| head`): drop the rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -587,7 +587,8 @@ def random_hull_h(rng: random.Random, n: int) -> HMatrix:
     weighted sum of their :func:`hinv.catalog.q_from_sparsity` profiles.  The
     sum stays on the invariance level set and keeps a positive anti-diagonal.
     Every draw tried up to N = 12 certified optimal with more than N-1
-    nonzero certificates; that is observed, not proved.
+    nonzero certificates.  Optimality is proved for N <= 8 by a sign
+    condition on the pattern pairs (tests/test_certify.py); the rest is observed.
     """
     from .catalog import BOTTOM, TOP, SparsityChoice, q_from_sparsity  # oracle-check never draws one
 

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .algebra import HMatrix, QProfile
-from .certify import STATUS_INVARIANCE_VIOLATED, STATUS_OPTIMAL, Verdict
+from .certify import Verdict
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _PAIR_KEY_RE = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
@@ -148,17 +148,3 @@ def witness_to_dict(w) -> dict:
         "residual_sq": format_rational(w.residual_sq),
         "bound_sq": format_rational(w.bound_sq()),
     }
-
-
-__all__ = [
-    "format_rational",
-    "parse_rational",
-    "hmatrix_to_dict",
-    "hmatrix_from_dict",
-    "qprofile_to_dict",
-    "qprofile_from_dict",
-    "verdict_to_dict",
-    "witness_to_dict",
-    "STATUS_OPTIMAL",
-    "STATUS_INVARIANCE_VIOLATED",
-]

@@ -6,7 +6,7 @@ import pytest
 
 import hinv as H
 from hinv.combinatorics import binom
-from hinv.oracles import sparsity_relation_ratios
+from hinv.oracles import random_hull_h, sparsity_relation_ratios
 
 
 def test_ohm_entries():
@@ -232,7 +232,10 @@ def test_anytime_extend_ohm_is_prefix_consistent():
 
 
 def test_anytime_extend_row_formulas_and_optimality():
-    for prefix in (H.dual_ohm(4), H.strange3(), H.self_dual_mixed(5, 2)):
+    # hull prefixes at N = 4..8, where every hull point is optimal (the sufficient condition)
+    rng = random.Random(29)
+    hull = [random_hull_h(rng, n) for n in range(4, 9)]
+    for prefix in (H.dual_ohm(4), H.strange3(), H.self_dual_mixed(5, 2), *hull):
         start = prefix.n_minus_1
         ext = H.anytime_extend(prefix, start + 3)
         for r in range(start + 1, start + 4):

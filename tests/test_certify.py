@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ import pytest
 import hinv as H
 from hinv import serialization as ser
 from hinv.cli import main
-from hinv.combinatorics import binom
+from hinv.combinatorics import binom, dot, integer_rows, signed_binomial_transform
 from hinv.exactlinalg import mat_det
 from hinv.oracles import (
     random_certificate_violating_h,
@@ -167,11 +168,60 @@ def test_hull_matrices_are_optimal_with_dense_certificates():
 
 
 def test_hull_certificates_agree_with_elimination_at_larger_horizons():
-    # optimality is unchecked here, so only the two certificate routes are compared
+    # optimality is unchecked here, so only the certificate routes and the identity are checked
     rng = random.Random(43)
-    for n in range(11, 15):
+    for n in range(11, 17):
         h = random_hull_h(rng, n)
-        assert H.solve_lambda_by_elimination(h) == H.certificates(h), n
+        lam = H.certificates(h)
+        assert H.solve_lambda_by_elimination(h) == lam, n
+        assert not any(H.s_coefficients(h, lam).values()), n
+
+
+def pattern_columns(choice):
+    """The columns q_j = (0, Q(1, j), ..., Q(N-j, j)), j < N, of a pattern's profile."""
+    q, n = H.q_from_sparsity(choice), choice.n
+    return [[F(0)] + [q.value(k, j) for k in range(1, n - j + 1)] for j in range(1, n)]
+
+
+def every_pattern(n):
+    return [H.SparsityChoice(n, p) for p in itertools.product((H.TOP, H.BOTTOM), repeat=n - 2)]
+
+
+def test_hull_sufficient_condition_holds_for_every_pattern_pair():
+    # With v^a_j = B q^a_j, a convex combination with weights w_a has lambda_{N,j} =
+    # -N sum_a w_a (v^a_j)_0 and lambda_{k,j} = -N sum_{a,b} w_a w_b <v^a_j, v^b_k>, so these
+    # signs make every point of the hull of the top/bottom profiles optimal at N = 4..8.
+    for n in range(4, 9):
+        # one positive factor per pattern scales its columns to ints and keeps every sign
+        vs = [[signed_binomial_transform(col) for col in integer_rows(pattern_columns(choice))[0]]
+              for choice in every_pattern(n)]
+        for a, va in enumerate(vs):
+            assert all(v[0] <= 0 for v in va), n
+            for vb in vs[a:]:
+                for k in range(1, n - 1):
+                    for j in range(k):
+                        assert dot(va[j], vb[k]) + dot(vb[j], va[k]) <= 0, (n, j + 1, k + 1)
+
+
+def test_hull_certificates_are_the_bilinear_form_of_the_pattern_transforms():
+    rng = random.Random(61)
+    for n in (4, 5, 7, 8):
+        for _ in range(2):
+            choices, weights = rng.sample(every_pattern(n), 3), (F(1, 6), F(1, 3), F(1, 2))
+            vs = [[signed_binomial_transform(col) for col in pattern_columns(c)] for c in choices]
+            values = {}
+            for c, w in zip(choices, weights):
+                for key, x in H.q_from_sparsity(c).items():
+                    values[key] = values.get(key, F(0)) + w * x
+            lam = H.certificates(H.h_from_q_profile(H.QProfile(n, values)))
+            for k in range(2, n + 1):
+                for j in range(1, k):
+                    if k == n:
+                        form = sum(w * v[j - 1][0] for w, v in zip(weights, vs))
+                    else:
+                        form = sum(wa * wb * dot(va[j - 1], vb[k - 1])
+                                   for wa, va in zip(weights, vs) for wb, vb in zip(weights, vs))
+                    assert lam.value(k, j) == -n * form, (n, k, j)
 
 
 def test_elimination_refuses_noninvariant():

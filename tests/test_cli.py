@@ -125,6 +125,13 @@ def test_falsify_default_pair_is_smallest_negative(tmp_path, capsys):
         assert code == 0
         assert default_out == pinned_out
         assert json.loads(default_out)["violated_pair"] == [i, j]
+    # a pair with a nonnegative certificate, and one outside the matrix
+    path = write_matrix(tmp_path, "v0.json", cases[0])
+    for pair, message in ((("4", "1"), "no violation at (4,1): certificate is 3/7"),
+                          (("9", "1"), "not a strict lower-triangular pair")):
+        code, stdout, stderr = run_cli(capsys, "falsify", path, "--pair", *pair)
+        assert_clean_failure(code, stdout, stderr)
+        assert message in stderr
 
 
 def test_falsify_on_optimal_input(tmp_path, capsys):
@@ -186,6 +193,10 @@ def test_simulate_zero_start_is_malformed(tmp_path, capsys):
     y0.write_text("[0.0, 0.0]")
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
                                   "--oracle", "rotation:0.3", "--y0", str(y0)))
+    # the worst-case start belongs to the worst-case operator only
+    code, stdout, stderr = run_cli(capsys, "simulate", "--h", path, "--oracle", "rotation:0.3")
+    assert_clean_failure(code, stdout, stderr)
+    assert "--y0 worstcase only pairs with --oracle worstcase" in stderr
 
 
 def test_simulate_non_finite_rotation_is_malformed(tmp_path, capsys):
@@ -197,6 +208,10 @@ def test_simulate_non_finite_rotation_is_malformed(tmp_path, capsys):
             warnings.simplefilter("error")  # no numpy RuntimeWarning either
             assert_clean_failure(*run_cli(capsys, "simulate", "--h", path,
                                           "--oracle", f"rotation:{angle}", "--y0", str(y0)))
+    code, stdout, stderr = run_cli(capsys, "simulate", "--h", path, "--oracle", "reflection:0.5",
+                                   "--y0", str(y0))
+    assert_clean_failure(code, stdout, stderr)
+    assert "unknown oracle spec 'reflection:0.5'" in stderr
 
 
 def test_simulate_nonpositive_r_sq_is_malformed(tmp_path, capsys):
@@ -258,8 +273,16 @@ def test_simulate_negative_steps_is_malformed(tmp_path, capsys):
     assert_clean_failure(*run_cli(capsys, "simulate", "--h", path, "--steps", "-1"))
 
 
-def test_sweep_bad_range_fails_before_header(capsys):
+def test_sweep_bad_range_fails_before_header(capsys, monkeypatch):
     assert_clean_failure(*run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "1:3"))
+    code, stdout, stderr = run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "5:3")
+    assert_clean_failure(code, stdout, stderr)
+    assert "empty range '5:3'" in stderr
+    # forced colour wraps the one line in red and adds none
+    monkeypatch.setenv("HINV_COLOR", "1")
+    code, stdout, stderr = run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "5:3")
+    assert_clean_failure(code, stdout, stderr)
+    assert stderr == "\x1b[31msweep: empty range '5:3'\x1b[0m\n"
 
 
 def test_sweep_selecting_no_cell_fails_before_header(capsys):
@@ -458,3 +481,37 @@ def test_parser_reused_in_one_process_matches_separate_runs(tmp_path, capsys):
         captured = capsys.readouterr()
         separate = (proc.returncode, proc.stdout, proc.stderr)
         assert (code, captured.out, captured.err) == separate, argv
+
+
+def test_bad_command_line_is_malformed(capsys):
+    # exit 1 and argparse's one error line, not its exit 2, which reads as certify's verdict
+    for argv, prog in ((("certify",), "hinv certify"),
+                       (("sweep", "--family", "bogus", "--n-range", "4:5"), "hinv sweep"),
+                       (("falsify", "x", "--pair", "1"), "hinv falsify"),
+                       ((), "hinv")):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert_clean_failure(code, stdout, stderr)
+        assert stderr.startswith(f"{prog}: error: "), argv
+    code, stdout, stderr = run_cli(capsys, "certify", "--help")
+    assert code == 0 and stdout.startswith("usage: hinv certify") and stderr == ""
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a reader that stops early (`| head -1`) costs no traceback and keeps the exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "hinv.cli", "sweep", "--family", "ohm",
+                             "--n-range", "2:30"], env=dict(env, PYTHONUNBUFFERED="1"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "family,n,n_prime,status,min_lambda,max_residual\n"
+    proc.stdout.close()
+    assert proc.communicate(timeout=300)[1] == "" and proc.returncode == 0
+    # certify's JSON goes to a pipe that is already closed: the verdict code and summary stay,
+    # whether the write fails at once or (buffered) at the last flush
+    violated = write_matrix(tmp_path, "v.json", H.h_dual(H.strange3()))
+    for unbuffered in ("1", ""):
+        proc = subprocess.Popen([sys.executable, "-m", "hinv.cli", "certify", violated],
+                                env=dict(env, PYTHONUNBUFFERED=unbuffered),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        assert proc.communicate(timeout=300)[1] == "certificate violated at (3,1), (4,2)\n"
+        assert proc.returncode == 3

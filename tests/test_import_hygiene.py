@@ -7,6 +7,7 @@ Each command runs in a fresh interpreter that reports on stderr which
 imports change no output.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,9 @@ def test_public_api_unchanged():
     import hinv.oracles
     import hinv.simulate
 
+    # the 56 public names, sorted and joined by spaces
+    assert hashlib.sha256(" ".join(sorted(H.__all__)).encode()).hexdigest() == \
+        "e3f80a6afc4ec746be4a82bd135bb615f40983ab14a17847c995f490e16152ea"
     for name in H.__all__:
         assert getattr(H, name) is not None
     # the slow routes live only in hinv.oracles
