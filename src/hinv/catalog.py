@@ -36,6 +36,23 @@ class DegeneratePatternError(ValueError):
     """A sparsity pattern whose induced profile hits a zero anti-diagonal value."""
 
 
+def _ohm_entry(k: int, j: int) -> Fraction:
+    """h_{k,j} of :func:`ohm`, the same at every horizon."""
+    return Fraction(-j, k * (k + 1)) if j < k else Fraction(k, k + 1)
+
+
+def _dual_ohm_entry(n: int, k: int, j: int) -> Fraction:
+    """h_{k,j} of :func:`dual_ohm` at horizon n."""
+    return Fraction(-(n - k), (n - j) * (n - j + 1)) if j < k else Fraction(n - k, n - k + 1)
+
+
+def _split_method(n: int, n_prime: int, entry) -> HMatrix:
+    """The horizon-n matrix of a block method's entry rule, split at column n'."""
+    if not 2 <= n_prime <= n - 2:
+        raise ValueError(f"split index must satisfy 2 <= n' <= {n - 2}")
+    return HMatrix([[entry(k, j) for j in range(1, k + 1)] for k in range(1, n)])
+
+
 def ohm(n: int) -> HMatrix:
     """Interpolated-anchor method: h_{k,j} = -j/(k(k+1)) below, k/(k+1) on the diagonal.
 
@@ -44,10 +61,7 @@ def ohm(n: int) -> HMatrix:
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    return HMatrix([
-        [Fraction(-j, k * (k + 1)) if j < k else Fraction(k, k + 1) for j in range(1, k + 1)]
-        for k in range(1, n)
-    ])
+    return HMatrix([[_ohm_entry(k, j) for j in range(1, k + 1)] for k in range(1, n)])
 
 
 def dual_ohm(n: int) -> HMatrix:
@@ -57,21 +71,15 @@ def dual_ohm(n: int) -> HMatrix:
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    return HMatrix([
-        [
-            Fraction(-(n - k), (n - j) * (n - j + 1)) if j < k else Fraction(n - k, n - k + 1)
-            for j in range(1, k + 1)
-        ]
-        for k in range(1, n)
-    ])
+    return HMatrix([[_dual_ohm_entry(n, k, j) for j in range(1, k + 1)] for k in range(1, n)])
 
 
 def self_dual_mixed(n: int, n_prime: int) -> HMatrix:
     """Block method: top sparsity for columns j < n', bottom for j >= n'.
 
-    Upper-left block is ohm(n') shortened by one row, lower-right is the
-    anti-diagonal transpose of ohm(n - n') shortened by one row, and the
-    bridging row/column through index n' is
+    Rows above n' are ohm's; below n' the entries right of column n' are
+    dual_ohm(n)'s (the anti-diagonal transpose of ohm(n - n'), shifted),
+    those left of it are zero, and the bridging row/column through index n' is
 
         h_{n',n'} = n'(n - n')/n,
         h_{n',j}  = j (1/n - 1/n'),          j < n',
@@ -80,57 +88,37 @@ def self_dual_mixed(n: int, n_prime: int) -> HMatrix:
     For even n with n' = n/2 the result equals its own anti-diagonal
     transpose.
     """
-    if not 2 <= n_prime <= n - 2:
-        raise ValueError(f"split index must satisfy 2 <= n' <= {n - 2}")
-    top = ohm(n_prime)
-    bottom = dual_ohm(n - n_prime)
-    rows = []
-    for k in range(1, n):
-        row = [Fraction(0)] * k
-        for j in range(1, k + 1):
-            if k < n_prime:
-                row[j - 1] = top.entry(k, j)
-            elif k == n_prime:
-                if j < n_prime:
-                    row[j - 1] = j * (Fraction(1, n) - Fraction(1, n_prime))
-                else:
-                    row[j - 1] = Fraction(n_prime * (n - n_prime), n)
-            else:
-                if j == n_prime:
-                    row[j - 1] = (n - k) * (Fraction(1, n) - Fraction(1, n - n_prime))
-                elif j > n_prime:
-                    row[j - 1] = bottom.entry(k - n_prime, j - n_prime)
-        rows.append(row)
-    return HMatrix(rows)
+    def entry(k, j):
+        if k < n_prime:
+            return _ohm_entry(k, j)
+        if j == k == n_prime:
+            return Fraction(n_prime * (n - n_prime), n)
+        if k == n_prime:
+            return j * (Fraction(1, n) - Fraction(1, n_prime))
+        if j == n_prime:
+            return (n - k) * (Fraction(1, n) - Fraction(1, n - n_prime))
+        return _dual_ohm_entry(n, k, j) if j > n_prime else Fraction(0)
+
+    return _split_method(n, n_prime, entry)
 
 
 def second_mixed(n: int, n_prime: int) -> HMatrix:
     """Block method: bottom sparsity for columns j < n', top for j >= n'.
 
-    Upper-left corner agrees with dual_ohm(n), lower-right with ohm(n - n' + 1),
-    and the first n' - 1 columns are constant below row n' - 1:
+    Rows above n' agree with dual_ohm(n), the entries below them right of
+    column n' - 1 with ohm(n - n' + 1) shifted by n' - 1, and the first
+    n' - 1 columns are constant below row n' - 1:
 
         h_{k,j} = -(n - n' + 1) / (2 (n-j)(n-j+1)),  k >= n', j <= n' - 1.
     """
-    if not 2 <= n_prime <= n - 2:
-        raise ValueError(f"split index must satisfy 2 <= n' <= {n - 2}")
-    rows = []
-    for k in range(1, n):
-        row = []
-        for j in range(1, k + 1):
-            if j == k <= n_prime - 1:
-                v = Fraction(n - k, n - k + 1)
-            elif j < k <= n_prime - 1:
-                v = Fraction(-(n - k), (n - j) * (n - j + 1))
-            elif j == k:
-                v = Fraction(k - n_prime + 1, k - n_prime + 2)
-            elif n_prime <= j:
-                v = Fraction(-(j - n_prime + 1), (k - n_prime + 1) * (k - n_prime + 2))
-            else:
-                v = Fraction(-(n - n_prime + 1), 2 * (n - j) * (n - j + 1))
-            row.append(v)
-        rows.append(row)
-    return HMatrix(rows)
+    def entry(k, j):
+        if k < n_prime:
+            return _dual_ohm_entry(n, k, j)
+        if j < n_prime:
+            return Fraction(-(n - n_prime + 1), 2 * (n - j) * (n - j + 1))
+        return _ohm_entry(k - n_prime + 1, j - n_prime + 1)
+
+    return _split_method(n, n_prime, entry)
 
 
 def strange3() -> HMatrix:
@@ -193,32 +181,30 @@ def q_from_sparsity(choice: SparsityChoice) -> QProfile:
     """The unique terminal partial-invariant profile realizing a sparsity choice.
 
     Per column j the choice fixes the ratios
-        Q(N-1, k, j) = c_{k,j} Q(N-1, N-j, j),    k = 1..N-j-1,
+        Q(N-1, k, j) = c_{k,j} alpha_j,    alpha_j = Q(N-1, N-j, j),  k = 1..N-j,
     with c_{k,j} = C(N-j-1, k-1) for TOP and (N-j+1)/(k+1) * C(N-j-1, k-1)
-    for BOTTOM.  Seeding with Q(N-1, N-1, 1) = 1/N and alternating with the
-    invariance sums closes the whole table column by column.  A zero
-    anti-diagonal value encountered on the way (impossible for top/bottom
+    for BOTTOM (both 1 on the anti-diagonal).  The invariance sums close the
+    anchors: in signed-binomial coordinates v_j = B q_j they read
+    sum_j v_j = (1/N) 1 - e_0, and v_j = alpha_j (e_{N-j} - pi_j), where pi_j
+    sums to 1 on 0..N-j-1 and is a point mass at N-j-1 for TOP (and for
+    column N-1) and uniform for BOTTOM.  Entry N-j of the sum is the recursion
+        alpha_j = 1/N + sum_{i<j} alpha_i pi_i(N-j)
+                = 1/N + sum_{i<j, BOTTOM} alpha_i/(N-i) + [column j-1 is TOP] alpha_{j-1}.
+    A zero anchor encountered on the way (impossible for top/bottom
     mixtures, surfaced rather than patched) raises DegeneratePatternError.
     """
     n = choice.n
-    values = {(n - 1, 1): Fraction(1, n)}
-    for j in range(1, n):
-        anchor = values[(n - j, j)]
+    values = {}
+    anchor, bottoms = Fraction(1, n), Fraction(0)  # alpha_j; sum of alpha_i/(N-i) over BOTTOM i < j
+    for j, kind in enumerate(choice.pattern + (TOP,), 1):
         if anchor == 0:
             raise DegeneratePatternError(f"anti-diagonal value at column {j} vanished")
-        if j <= n - 2:
-            kind = choice.choice(j)
-            for k in range(1, n - j):
-                c = Fraction(binom(n - j - 1, k - 1))
-                if kind == BOTTOM:
-                    c *= Fraction(n - j + 1, k + 1)
-                values[(k, j)] = c * anchor
-        if j < n - 1:
-            m = n - j - 1
-            closing = Fraction(binom(n, m + 1), n)
-            for i in range(1, j + 1):
-                closing -= values[(m, i)]
-            values[(m, j + 1)] = closing
+        for k in range(1, n - j + 1):
+            c = binom(n - j - 1, k - 1) * (Fraction(n - j + 1, k + 1) if kind == BOTTOM else 1)
+            values[(k, j)] = c * anchor
+        if kind == BOTTOM:
+            bottoms += anchor / (n - j)
+        anchor = Fraction(1, n) + bottoms + (anchor if kind == TOP else 0)
     return QProfile(n, values)
 
 

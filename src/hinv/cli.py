@@ -11,7 +11,7 @@ human commentary goes to stderr):
     hinv simulate --h FILE --oracle {worstcase|rotation:THETA|matrix:FILE}
                   --y0 {worstcase|FILE} [--steps K] [--r-sq R2]
     hinv sweep --family NAME --n-range A:B [--n-prime-range A:B]
-    hinv oracle-check --seed S [--n-max K] [--inject-bug]
+    hinv oracle-check --seed S [--n-max K]
 
 Exit codes: 0 success; 1 malformed input or a bad command line (one stderr
 line, as argparse words it); certify: 2 invariance violated, 3 certificate
@@ -293,20 +293,13 @@ def cmd_sweep(args):
     # fails cleanly with no partial CSV on stdout.
     try:
         ns = _parse_range(args.n_range)
+        primes = _parse_range(args.n_prime_range) if args.n_prime_range else None
         cells = []
-        if args.family == "strange3":
-            cells.append((args.family, 4, None))  # fixed-size member
-        else:
-            for n in ns:
-                if args.family in MIXED_FAMILIES:
-                    primes = (
-                        _parse_range(args.n_prime_range)
-                        if args.n_prime_range
-                        else range(2, n - 1)
-                    )
-                    cells.extend((args.family, n, p) for p in primes if 2 <= p <= n - 2)
-                else:
-                    cells.append((args.family, n, None))
+        for n in ns:
+            if args.family in MIXED_FAMILIES:
+                cells.extend((args.family, n, p) for p in primes or range(2, n - 1) if 2 <= p <= n - 2)
+            elif args.family != "strange3" or n == 4:  # strange3 has the one horizon 4
+                cells.append((args.family, n, None))
         if not cells:
             raise ValueError("the ranges select no family member")
         cells = [cell + (_generate(*cell),) for cell in cells]
@@ -326,7 +319,7 @@ def cmd_oracle_check(args):
         return EXIT_MALFORMED
     from . import oracles  # the slow routes load only here
 
-    lines, counterexample = oracles.oracle_check_report(args.seed, args.n_max, args.inject_bug)
+    lines, counterexample = oracles.oracle_check_report(args.seed, args.n_max)
     if counterexample is not None:
         lines.append(json.dumps({"counterexample": counterexample}))
     _write_out("\n".join(lines), None)
@@ -394,7 +387,6 @@ def build_parser():
     p = sub.add_parser("oracle-check", help="run the slow-path oracles against the library")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-max", type=int, default=6, help="largest horizon checked, 3..8")
-    p.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -224,6 +224,49 @@ def test_hull_certificates_are_the_bilinear_form_of_the_pattern_transforms():
                     assert lam.value(k, j) == -n * form, (n, k, j)
 
 
+def pattern_distributions(choice):
+    """pi_j per column j < N: the point mass at N-j-1 for TOP and for column N-1, else uniform."""
+    n = choice.n
+    return [[F(i == n - j - 1) if kind == H.TOP else F(1, n - j) for i in range(n - j)]
+            for j, kind in enumerate(choice.pattern + (H.TOP,), 1)]
+
+
+def test_pattern_certificates_follow_the_pi_closed_form():
+    # alpha_j = Q(N-1, N-j, j) and v_j = alpha_j (e_{N-j} - pi_j): the certificates are
+    # N alpha_j alpha_k (pi_j(N-k) - <pi_j, pi_k>) and N alpha_j pi_j(0), the anchors a recursion
+    for n in range(3, 10):
+        for choice in every_pattern(n):
+            h = H.h_from_sparsity(choice)
+            q, lam, pis = H.q_profile(h), H.certificates(h), pattern_distributions(choice)
+            alpha = [q.value(n - j, j) for j in range(1, n)]
+            for j in range(1, n):
+                assert alpha[j - 1] == F(1, n) + sum(alpha[i - 1] * pis[i - 1][n - j]
+                                                     for i in range(1, j)), (choice, j)
+                assert lam.value(n, j) == n * alpha[j - 1] * pis[j - 1][0], (choice, j)
+                for k in range(j + 1, n):
+                    pj, pk = pis[j - 1], pis[k - 1]
+                    form = pj[n - k] - sum(x * y for x, y in zip(pj, pk))
+                    assert lam.value(k, j) == n * alpha[j - 1] * alpha[k - 1] * form, (choice, k, j)
+
+
+def test_certificates_are_second_differences_of_the_dual_run_gram(catalog8):
+    # lambda_{k,j}(H) = -N^2 (second difference of G = gram_g0(A) at (N-j, N-k)), A = h_dual(H),
+    # and lambda_{N,j}(H) = -N (D(N-j+1; A) - D(N-j; A))
+    rng = random.Random(71)
+    population = [h for _, h in catalog8] + [H.strange3(), H.h_dual(H.strange3())]
+    population += [random_certificate_violating_h(rng, n) for n in range(3, 13)]
+    population += [random_hull_h(rng, n) for n in range(4, 13)]
+    for h in population:
+        n, a = h.n, H.h_dual(h)
+        g, lam = H.gram_g0(a), H.certificates(h)
+        for j in range(1, n):
+            assert lam.value(n, j) == -n * (H.d_value(a, n - j + 1) - H.d_value(a, n - j)), (h, j)
+            for k in range(j + 1, n):
+                r, c = n - j, n - k
+                second = g[r][c] - g[r - 1][c] - g[r][c - 1] + g[r - 1][c - 1]
+                assert lam.value(k, j) == -n * n * second, (h, k, j)
+
+
 def test_elimination_refuses_noninvariant():
     with pytest.raises(H.InvarianceError):
         H.solve_lambda_by_elimination(H.HMatrix([["1/3"]]))

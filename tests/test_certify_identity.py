@@ -12,8 +12,8 @@ dual, so a second digest covers dense, mixed-sign certificates: one seeded
 ``random_certificate_violating_h`` for each N = 4..14.
 
 A third digest covers ``hinv oracle-check`` for a few seeds and horizons and
-one ``--inject-bug`` run, so it pins the order of the seeded draws and the
-counterexample JSON.
+one run with a bug injected into the chain enumeration (P off by one), so it
+pins the order of the seeded draws and the counterexample JSON.
 
 A fourth digest covers ``hinv sweep`` CSVs: the self-dual and second-mixed
 families over N = 4..10 and ohm and dual ohm over N = 2..16, so sharing one
@@ -86,11 +86,16 @@ def test_certify_output_digest_on_certificate_violators(tmp_path, capsys):
     assert digest.hexdigest() == VIOLATOR_DIGEST
 
 
-def test_oracle_check_output_digest(capsys):
+def test_oracle_check_output_digest(capsys, monkeypatch):
+    import hinv.oracles
+
+    enumerate_p = hinv.oracles.p_by_enumeration
     digest = hashlib.sha256()
     codes = []
-    for seed, n_max, *flags in ((1, 3), (2, 5), (7, 6), (9, 8), (3, 4, "--inject-bug")):
-        code = main(["oracle-check", "--seed", str(seed), "--n-max", str(n_max), *flags])
+    for seed, n_max, bug in ((1, 3, 0), (2, 5, 0), (7, 6, 0), (9, 8, 0), (3, 4, 1)):
+        monkeypatch.setattr(hinv.oracles, "p_by_enumeration",
+                            lambda h, k, m, bug=bug: enumerate_p(h, k, m) + bug)
+        code = main(["oracle-check", "--seed", str(seed), "--n-max", str(n_max)])
         codes.append(code)
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert codes == [0, 0, 0, 0, 6]

@@ -278,6 +278,10 @@ def test_sweep_bad_range_fails_before_header(capsys, monkeypatch):
     code, stdout, stderr = run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "5:3")
     assert_clean_failure(code, stdout, stderr)
     assert "empty range '5:3'" in stderr
+    # --n-prime-range is parsed once, before any cell, whatever the family
+    for family in ("ohm", "strange3", "self-dual"):
+        assert_clean_failure(*run_cli(capsys, "sweep", "--family", family, "--n-range", "4:6",
+                                      "--n-prime-range", "3:x"))
     # forced colour wraps the one line in red and adds none
     monkeypatch.setenv("HINV_COLOR", "1")
     code, stdout, stderr = run_cli(capsys, "sweep", "--family", "ohm", "--n-range", "5:3")
@@ -290,6 +294,10 @@ def test_sweep_selecting_no_cell_fails_before_header(capsys):
     assert_clean_failure(*run_cli(capsys, "sweep", "--family", "self-dual", "--n-range", "3:3"))
     assert_clean_failure(*run_cli(capsys, "sweep", "--family", "self-dual", "--n-range", "4:6",
                                   "--n-prime-range", "9:12"))
+    # strange3 exists only at horizon 4
+    code, stdout, stderr = run_cli(capsys, "sweep", "--family", "strange3", "--n-range", "9:9")
+    assert_clean_failure(code, stdout, stderr)
+    assert "the ranges select no family member" in stderr
 
 
 def test_falsify_readme_example(tmp_path, capsys):
@@ -329,9 +337,12 @@ def test_oracle_check_passes(capsys):
     assert all(line.startswith("PASS") for line in stdout.strip().splitlines())
 
 
-def test_oracle_check_injected_bug(capsys):
-    code, stdout, _ = run_cli(capsys, "oracle-check", "--seed", "1", "--n-max", "3",
-                              "--inject-bug")
+def test_oracle_check_injected_bug(capsys, monkeypatch):
+    import hinv.oracles
+
+    enumerate_p = hinv.oracles.p_by_enumeration
+    monkeypatch.setattr(hinv.oracles, "p_by_enumeration", lambda h, k, m: enumerate_p(h, k, m) + 1)
+    code, stdout, _ = run_cli(capsys, "oracle-check", "--seed", "1", "--n-max", "3")
     assert code == 6
     assert "counterexample" in stdout
 
@@ -488,6 +499,7 @@ def test_bad_command_line_is_malformed(capsys):
     for argv, prog in ((("certify",), "hinv certify"),
                        (("sweep", "--family", "bogus", "--n-range", "4:5"), "hinv sweep"),
                        (("falsify", "x", "--pair", "1"), "hinv falsify"),
+                       (("oracle-check", "--seed", "1", "--inject-bug"), "hinv"),
                        ((), "hinv")):
         code, stdout, stderr = run_cli(capsys, *argv)
         assert_clean_failure(code, stdout, stderr)
