@@ -47,9 +47,9 @@ __version__ = "1.0.0"
 # the modules themselves and, like the submodules the imports above bind, are
 # not in __all__.
 _LAZY = {
-    **dict.fromkeys(("BOTTOM", "TOP", "DegeneratePatternError", "SparsityChoice", "anytime_extend",
-                     "dual_ohm", "h_from_sparsity", "is_ohm_tail", "ohm", "q_from_sparsity",
-                     "second_mixed", "self_dual_mixed", "strange3", "catalog"), "catalog"),
+    **dict.fromkeys(("BOTTOM", "TOP", "SparsityChoice", "anytime_extend", "dual_ohm",
+                     "h_from_sparsity", "is_ohm_tail", "ohm", "q_from_sparsity", "second_mixed",
+                     "self_dual_mixed", "strange3", "catalog"), "catalog"),
     **dict.fromkeys(("GramWitness", "TraceLedger", "WorstCaseOperator", "build_perturbation", "gram_g0",
                      "interpolation_traces", "suboptimality_witness", "terminal_gy", "witness_vectors",
                      "worst_case_residual_sq", "worst_operator", "worstcase"), "worstcase"),

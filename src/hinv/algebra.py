@@ -39,7 +39,12 @@ class DegenerateProfileError(ValueError):
 
 
 def as_rational(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats (which are not exact inputs)."""
+    """Coerce to Fraction, rejecting floats (which are not exact inputs).
+
+    A Fraction is immutable, so it comes back as it is, not rebuilt.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float is not an exact rational; pass Fraction, int or 'p/q' string")
     return Fraction(value)
@@ -55,7 +60,8 @@ class HMatrix:
     (zero rows) is allowed and represents the do-nothing method.
 
     The matrix is immutable, so the per-column prefix sums are built once at
-    construction and every :meth:`column_sum` is a difference of two of them;
+    construction and every :meth:`column_sum` is one of them or the difference
+    of two;
     ``_report`` memoizes :func:`hinv.certify.invariance_report` and
     ``_certificates`` memoizes :func:`hinv.certify.certificates` (each None
     until set), so every verdict on one matrix reads one report.
@@ -72,10 +78,8 @@ class HMatrix:
             built.append(entries)
         self._rows = tuple(built)
         # _prefix[j-1][t] = h_{j,j} + ... + h_{j+t-1,j}, for t = 0..n_minus_1-j+1.
-        self._prefix = [
-            list(accumulate((row[j] for row in built[j:]), initial=Fraction(0)))
-            for j in range(len(built))
-        ]
+        self._prefix = [[Fraction(0), *accumulate(row[j] for row in built[j:])]
+                        for j in range(len(built))]
         self._report = None
         self._certificates = None
 
@@ -102,13 +106,18 @@ class HMatrix:
         return self._rows[k - 1][j - 1]
 
     def column_sum(self, j: int, lo: int, hi: int) -> Fraction:
-        """Sum of h_{i,j} for lo <= i <= hi (empty range gives 0)."""
+        """Sum of h_{i,j} for lo <= i <= hi (empty range gives 0).
+
+        A range starting at or above the column head j is one stored prefix
+        sum, returned as it is; any other range is the difference of two.
+        """
         if not 1 <= j <= self.n_minus_1 or hi > self.n_minus_1:
             raise ValueError(f"column sum ({j},{lo},{hi}) outside a {self.n_minus_1}-row matrix")
-        lo = max(lo, j)
-        if hi < lo:
+        if hi < max(lo, j):
             return Fraction(0)
         col = self._prefix[j - 1]
+        if lo <= j:
+            return col[hi - j + 1]
         return col[hi - j + 1] - col[lo - j]
 
     def truncate(self, rows: int) -> "HMatrix":
@@ -179,22 +188,28 @@ def _p_table(h: HMatrix, upto: int):
 
     P(t, 0) = 1 and P(t, m) = sum over j of (column-(j+1) sums of rows
     j+1..t) times P(j, m-1), the exact recursion of the invariant
-    polynomials.  Row t's tails are summed once, before the m loop, so a
+    polynomials.  Row t's tails are read once, before the m loop, so a
     table takes O(upto^2) column sums and O(upto^3) products.  The tails come
     through :meth:`HMatrix.column_sum`, which owns the prefix sums and is the
-    stage the perfbench layer trace counts.
+    stage the perfbench layer trace counts; each is one stored prefix sum.
+
+    No operation here can leave a value unchanged: a product is formed only
+    when the tail and P(j, m-1) are both nonzero, and each entry is the sum
+    of its products started at the first one, so an entry with k products
+    costs k multiplications and k - 1 additions, and one with none is
+    Fraction(0).
     """
     table = [[Fraction(1)]]
     for t in range(1, upto + 1):
         row = [Fraction(1)]
-        tails = [h.column_sum(j + 1, j + 1, t) for j in range(t)]
+        tails = (h.column_sum(j + 1, j + 1, t) for j in range(t))
+        live = [(j, tail) for j, tail in enumerate(tails) if tail]
         for m in range(1, t + 1):
-            acc = Fraction(0)
-            for j in range(m - 1, t):
-                tail = tails[j]
-                if tail:
-                    acc += tail * table[j][m - 1]
-            row.append(acc)
+            acc = None
+            for j, tail in live:
+                if j >= m - 1 and (prev := table[j][m - 1]):
+                    acc = tail * prev if acc is None else acc + tail * prev
+            row.append(Fraction(0) if acc is None else acc)
         table.append(row)
     return table
 

@@ -32,10 +32,6 @@ TOP = "top"
 BOTTOM = "bottom"
 
 
-class DegeneratePatternError(ValueError):
-    """A sparsity pattern whose induced profile hits a zero anti-diagonal value."""
-
-
 def _ohm_entry(k: int, j: int) -> Fraction:
     """h_{k,j} of :func:`ohm`, the same at every horizon."""
     return Fraction(-j, k * (k + 1)) if j < k else Fraction(k, k + 1)
@@ -158,11 +154,6 @@ class SparsityChoice(namedtuple("SparsityChoice", "n pattern")):
         """Validating, unlike the tuple default; ``_replace`` builds through it too."""
         return cls(*iterable)
 
-    def choice(self, j: int) -> str:
-        if not 1 <= j <= self.n - 2:
-            raise ValueError(f"column {j} outside 1..{self.n - 2}")
-        return self.pattern[j - 1]
-
     @classmethod
     def all_top(cls, n: int) -> "SparsityChoice":
         return cls(n, (TOP,) * (n - 2))
@@ -190,15 +181,13 @@ def q_from_sparsity(choice: SparsityChoice) -> QProfile:
     column N-1) and uniform for BOTTOM.  Entry N-j of the sum is the recursion
         alpha_j = 1/N + sum_{i<j} alpha_i pi_i(N-j)
                 = 1/N + sum_{i<j, BOTTOM} alpha_i/(N-i) + [column j-1 is TOP] alpha_{j-1}.
-    A zero anchor encountered on the way (impossible for top/bottom
-    mixtures, surfaced rather than patched) raises DegeneratePatternError.
+    Every term is nonnegative, so alpha_j >= 1/N: no anchor vanishes, and
+    :func:`h_from_q_profile` inverts every such profile.
     """
     n = choice.n
     values = {}
     anchor, bottoms = Fraction(1, n), Fraction(0)  # alpha_j; sum of alpha_i/(N-i) over BOTTOM i < j
     for j, kind in enumerate(choice.pattern + (TOP,), 1):
-        if anchor == 0:
-            raise DegeneratePatternError(f"anti-diagonal value at column {j} vanished")
         for k in range(1, n - j + 1):
             c = binom(n - j - 1, k - 1) * (Fraction(n - j + 1, k + 1) if kind == BOTTOM else 1)
             values[(k, j)] = c * anchor

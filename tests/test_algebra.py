@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import hinv as H
-from hinv.algebra import _p_table, _q_table
+from hinv.algebra import _p_table, _q_table, as_rational
 from hinv.combinatorics import binom
 from hinv.oracles import p_by_enumeration, q_by_enumeration, random_h
 
@@ -318,11 +318,17 @@ def unhoisted_q_table(h, k):
 
 
 def assert_tables_match_unhoisted(h):
-    """_p_table and every _q_table of h equal the reference loops; returns the Q tables."""
+    """_p_table and every _q_table of h equal the reference loops; returns the Q tables.
+
+    Every entry is a Fraction, which equality alone cannot tell from int 0.
+    """
     size = h.n_minus_1
-    assert _p_table(h, size) == unhoisted_p_table(h, size), h
+    p = _p_table(h, size)
+    assert p == unhoisted_p_table(h, size), h
     tables = [_q_table(h, k) for k in range(1, size + 1)]
     assert tables == [unhoisted_q_table(h, k) for k in range(1, size + 1)], h
+    assert all(type(x) is F for row in p for x in row), h
+    assert all(type(x) is F for cols in tables for col in cols for x in col), h
     return tables
 
 
@@ -339,3 +345,38 @@ def test_hoisted_tables_match_unhoisted_loops():
         zero_prevs += sum(v == 0 for cols in tables for col in cols[1:] for v in col)
         zero_tails += sum(h.column_sum(j, j, t) == 0 for t in range(1, h.n) for j in range(1, t + 1))
     assert zero_tails and zero_prevs  # the zero skips of _p_table and of both reference loops run
+
+
+def test_p_table_does_no_arithmetic_that_leaves_a_value_unchanged(monkeypatch):
+    # each entry is the sum of its nonzero products started at the first one, and
+    # each tail is one stored prefix sum: k products cost k - 1 additions, no subtraction
+    rng = random.Random(67)
+    mats = [H.ohm(12), H.self_dual_mixed(12, 5)]
+    mats += [random_h(rng, size) for size in range(1, 9) for _ in range(3)]
+    tables = [unhoisted_p_table(h, h.n_minus_1) for h in mats]
+    live = sum(any(h.column_sum(j + 1, j + 1, t) and p[j][m - 1] for j in range(m - 1, t))
+               for h, p in zip(mats, tables) for t in range(1, h.n) for m in range(1, t + 1))
+    counts = dict.fromkeys(("__add__", "__sub__", "__mul__"), 0)
+    for name in counts:
+        def counted(a, b, name=name, op=getattr(F, name)):
+            counts[name] += 1
+            return op(a, b)
+        monkeypatch.setattr(F, name, counted)
+    got = [_p_table(h, h.n_minus_1) for h in mats]
+    monkeypatch.undo()
+    assert got == tables
+    assert counts["__sub__"] == 0
+    assert counts["__add__"] == counts["__mul__"] - live
+    assert live and counts["__add__"]
+
+
+def test_as_rational_hands_a_fraction_back_and_converts_the_rest():
+    x = F(-3, 7)
+    assert as_rational(x) is x
+    for raw, want in ((5, F(5)), (-2, F(-2)), ("3/4", F(3, 4)), ("-1", F(-1))):
+        got = as_rational(raw)
+        assert got == want and type(got) is F
+    for bad in (0.5, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            as_rational(bad)
+    assert all(H.HMatrix([[x]]).entry(1, 1) is x for x in (F(1, 3), F(0)))

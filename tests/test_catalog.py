@@ -140,10 +140,6 @@ def test_sparsity_choice_validation():
         H.SparsityChoice(4, (H.TOP,))  # wrong length
     with pytest.raises(ValueError):
         H.SparsityChoice(4, ("sideways", H.TOP))
-    c = H.SparsityChoice.all_top(5)
-    assert c.choice(1) == H.TOP
-    with pytest.raises(ValueError):
-        c.choice(4)
 
 
 def test_sparsity_choice_make_and_replace_validate():

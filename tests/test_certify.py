@@ -234,11 +234,13 @@ def pattern_distributions(choice):
 def test_pattern_certificates_follow_the_pi_closed_form():
     # alpha_j = Q(N-1, N-j, j) and v_j = alpha_j (e_{N-j} - pi_j): the certificates are
     # N alpha_j alpha_k (pi_j(N-k) - <pi_j, pi_k>) and N alpha_j pi_j(0), the anchors a recursion
+    # of nonnegative terms, so alpha_j >= 1/N and no anchor vanishes
     for n in range(3, 10):
         for choice in every_pattern(n):
             h = H.h_from_sparsity(choice)
             q, lam, pis = H.q_profile(h), H.certificates(h), pattern_distributions(choice)
             alpha = [q.value(n - j, j) for j in range(1, n)]
+            assert min(alpha) >= F(1, n), choice
             for j in range(1, n):
                 assert alpha[j - 1] == F(1, n) + sum(alpha[i - 1] * pis[i - 1][n - j]
                                                      for i in range(1, j)), (choice, j)
