@@ -239,10 +239,12 @@ def _q_table(h: HMatrix, k: int):
         Q(k, m, j; H) = P(k+1-j, m; A) - P(k-j, m; A)
 
     and the whole table is differences of consecutive rows of one
-    :func:`_p_table` of A (P(k-j, k-j+1; A) = 0 pads the shorter row).
+    :func:`_p_table` of A (P(k-j, k-j+1; A) = 0 pads the shorter row).  Where
+    the subtrahend is zero the entry is the P value itself, not rebuilt.
     """
     p = _p_table(h_dual(h if k == h.n_minus_1 else h.truncate(k)), k)
-    return [[hi - lo for hi, lo in zip(p[t][1:], p[t - 1][1:] + [0])] for t in range(k, 0, -1)]
+    return [[hi - lo if lo else hi for hi, lo in zip(p[t][1:], p[t - 1][1:] + [0])]
+            for t in range(k, 0, -1)]
 
 
 def q_partial(h: HMatrix, k: int, m: int, j: int) -> Fraction:

@@ -202,36 +202,39 @@ def h_from_sparsity(choice: SparsityChoice) -> HMatrix:
     return h_from_q_profile(q_from_sparsity(choice))
 
 
+def _forced_rows(rows, target: int):
+    """``rows`` continued by the forced rows r = len(rows) + 1 .. target, as a tuple.
+
+    Each appended row is
+        h_{r,r} = r/(r+1),
+        h_{r,m} = -(h_{m,m} + ... + h_{r-1,m}) / (r+1),  m < r,
+    with the column sums kept as the rows are appended.
+    """
+    out = list(rows)
+    totals = [sum((row[m] for row in out[m:]), Fraction(0)) for m in range(len(out))]
+    for r in range(len(out) + 1, target + 1):
+        row = (*(Fraction(-1, r + 1) * col for col in totals), Fraction(r, r + 1))
+        out.append(row)
+        totals = [col + x for col, x in zip(totals, row)] + [row[-1]]
+    return tuple(out)
+
+
 def anytime_extend(h: HMatrix, target: int) -> HMatrix:
     """Extend an optimal prefix so every added iterate is optimal too.
 
-    Each appended row is forced:
-        h_{r,r} = r/(r+1),
-        h_{r,m} = -(h_{m,m} + ... + h_{r-1,m}) / (r+1),  m < r,
-    which realizes y_r = y_0/(r+1) + r T y_{r-1}/(r+1) on top of whatever
-    prefix came before.  Requires the prefix itself to certify optimal
-    (the per-iterate guarantee for the tail leans on the prefix's
-    certificate identity) and target > current dimension.
+    The appended rows are the forced ones of :func:`_forced_rows`, which
+    realize y_r = y_0/(r+1) + r T y_{r-1}/(r+1) on top of whatever prefix
+    came before.  Requires the prefix itself to certify optimal (the
+    per-iterate guarantee for the tail leans on the prefix's certificate
+    identity) and target > current dimension.
     """
     if not certify(h).is_optimal:
         raise ValueError("prefix does not certify optimal; cannot extend")
     if target <= h.n_minus_1:
         raise ValueError(f"target {target} must exceed the current dimension {h.n_minus_1}")
-    rows = list(h.rows)
-    totals = [h.column_sum(m, m, h.n_minus_1) for m in range(1, h.n)]
-    for r in range(h.n, target + 1):
-        row = [Fraction(-1, r + 1) * col for col in totals] + [Fraction(r, r + 1)]
-        rows.append(row)
-        totals = [col + x for col, x in zip(totals, row)] + [row[-1]]
-    return HMatrix(rows)
+    return HMatrix(_forced_rows(h.rows, target))
 
 
 def is_ohm_tail(h: HMatrix, from_row: int) -> bool:
-    """Whether every row at index >= from_row matches the forced extension formulas."""
-    for r in range(max(from_row, 1), h.n_minus_1 + 1):
-        if h.entry(r, r) != Fraction(r, r + 1):
-            return False
-        for m in range(1, r):
-            if h.entry(r, m) != Fraction(-1, r + 1) * h.column_sum(m, m, r - 1):
-                return False
-    return True
+    """Whether the rows at index >= from_row are the forced continuation of those above."""
+    return _forced_rows(h.rows[:max(from_row, 1) - 1], h.n_minus_1) == h.rows

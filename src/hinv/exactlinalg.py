@@ -3,9 +3,10 @@
 One fraction-free elimination, `_echelon`, serves every routine: it scales
 each row of Fractions (or ints) to coprime integers and runs Bareiss steps,
 so every entry stays an integer and every division is exact.  `mat_det`, and
-through it `leading_principal_minors`, reads the last pivot; `mat_solve`,
+through it `leading_principal_minors`, reads the last pivot;
 `solve_consistent` and `mat_nullspace` back-substitute from the echelon rows
-over one common denominator, building one Fraction per solution entry.  No
+over one common denominator, building one Fraction per solution entry.  A
+square system with a unique solution is one `solve_consistent` call.  No
 floating point enters anywhere in this module.
 """
 
@@ -13,10 +14,6 @@ import math
 from fractions import Fraction
 
 from .combinatorics import integer_rows
-
-
-class SingularMatrixError(ValueError):
-    """Square system without a unique solution."""
 
 
 class InconsistentSystemError(ValueError):
@@ -110,15 +107,6 @@ def _back_substitute(ech, pivots, cols, rhs_columns):
             num[pivots[r]] = t * (den // q)
         solutions.append([Fraction(x, den) for x in num])
     return solutions
-
-
-def mat_solve(a, b):
-    """Unique solution of a square system, or SingularMatrixError."""
-    n = len(a)
-    ech, pivots, _ = _echelon([list(row) + [rhs] for row, rhs in zip(a, b)], n)
-    if len(pivots) < n:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
-    return _back_substitute(ech, pivots, n, [[row[n] for row in ech]])[0]
 
 
 def solve_consistent(a, b):

@@ -20,7 +20,7 @@ from . import serialization
 from .algebra import HMatrix, QProfile, h_from_q_profile, p_invariant, q_partial
 from .certify import (CertificateSet, InternalConsistencyError, InvarianceError, certificates,
                       invariance_report)
-from .combinatorics import binom, signed_binomial
+from .combinatorics import binom, dot, signed_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,26 @@ def q_by_enumeration(h: HMatrix, k: int, m: int, j: int) -> Fraction:
 # The certificate identity: its coefficient table, certificates and invariants.
 
 
+def _row_block(h: HMatrix, lam, k: int):
+    """Row block k of the certificate identity as (a, b, total), x = lambda_{k,1..k-1}:
+
+        s_{k,j} = 2 ((a x)_j - b_j),  j < k,        s_{k,k} = total - sum(x),
+
+    with a[j][i] = [i == j] - sum_{r >= max(i, j)}^{k-1} h_{r,j}.  At k = N,
+    b_j is column j's sum and total is N - 1; below, b and total couple x to
+    the multipliers ``lam[(m, i)]`` of the rows m > k, the only ones read.
+    """
+    n = h.n
+    a = [[(i == j) - h.column_sum(j, max(i, j), k - 1) for i in range(1, k)] for j in range(1, k)]
+    if k == n:
+        return a, [h.column_sum(j, j, n - 1) for j in range(1, n)], Fraction(n - 1)
+    below = range(k + 1, n + 1)
+    b = [-sum((h.column_sum(j, k, m - 1) * lam[(m, k)] + h.column_sum(k, k, m - 1) * lam[(m, j)]
+               for m in below), Fraction(0)) for j in range(1, k)]
+    total = sum(((2 * h.column_sum(k, k, m - 1) - 1) * lam[(m, k)] for m in below), Fraction(0))
+    return a, b, total
+
+
 def s_coefficients(h: HMatrix, lam: CertificateSet):
     """The coefficient table s_{k,j}(H, lambda) of the certificate identity.
 
@@ -68,45 +88,21 @@ def s_coefficients(h: HMatrix, lam: CertificateSet):
         s_{k,j} = 2 (lambda_{k,j} - sum_n h_{n,j} sum_{i<=n} lambda_{k,i} + c_{k,j})
 
     with c_{k,j} collecting the couplings to multipliers of later rows.  The
-    identity holds for the matrix exactly when every s_{k,j} is zero.
+    identity holds for the matrix exactly when every s_{k,j} is zero.  Each
+    row k is its :func:`_row_block` evaluated at lambda_{k,1..k-1}.
     Returns a dict keyed by (k, j) for 1 <= j <= k <= N.
     """
     n = h.n
     if lam.n != n:
         raise ValueError(f"certificate set has horizon {lam.n}, matrix needs {n}")
+    table = dict(lam.items())
     s = {}
-
-    s[(n, n)] = Fraction(n - 1) - sum(
-        (lam.value(n, j) for j in range(1, n)), Fraction(0)
-    )
-    for j in range(1, n):
-        acc = lam.value(n, j)
-        for i in range(j, n):
-            hij = h.entry(i, j)
-            if hij:
-                acc -= hij * sum((lam.value(n, k) for k in range(1, i + 1)), Fraction(0))
-        acc -= h.column_sum(j, j, n - 1)
-        s[(n, j)] = 2 * acc
-
-    for k in range(1, n):
-        acc = Fraction(0)
-        for i in range(k + 1, n + 1):
-            acc += (2 * h.column_sum(k, k, i - 1) - 1) * lam.value(i, k)
-        acc -= sum((lam.value(k, j) for j in range(1, k)), Fraction(0))
-        s[(k, k)] = acc
-        for j in range(1, k):
-            c_kj = Fraction(0)
-            for m in range(k + 1, n + 1):
-                col_j = h.column_sum(j, k, m - 1)
-                col_k = h.column_sum(k, k, m - 1)
-                c_kj += col_j * lam.value(m, k) + col_k * lam.value(m, j)
-            acc = lam.value(k, j)
-            for nn in range(j, k):
-                hnj = h.entry(nn, j)
-                if hnj:
-                    acc -= hnj * sum((lam.value(k, i) for i in range(1, nn + 1)), Fraction(0))
-            s[(k, j)] = 2 * (acc + c_kj)
-
+    for k in range(1, n + 1):
+        a, b, total = _row_block(h, table, k)
+        x = [table[(k, i)] for i in range(1, k)]
+        for j, (row, bj) in enumerate(zip(a, b), start=1):
+            s[(k, j)] = 2 * (dot(row, x) - bj)
+        s[(k, k)] = total - sum(x, Fraction(0))
     return s
 
 
@@ -164,86 +160,32 @@ def s_by_expansion(h: HMatrix, lam: CertificateSet):
 def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     """Independent computation of the certificates by sequential linear solves.
 
-    Solves the coefficient system s(lambda) = 0 row-block by row-block,
-    running k backwards from N: the top block is the square system with
-    matrix M (entry (j, i) = [i==j] - sum_{r >= max(i,j)} h_{r,j}, whose
-    determinant is the alternating sum D(N)); each later block is
-    triangularized by adding column-sum multiples of its first row, which
-    leaves a unit-diagonal system solved by back-substitution.  The dropped
-    first-column equation of every block is then verified exactly, so any
-    inconsistency raises InternalConsistencyError.
+    Solves the coefficient system s(lambda) = 0 row block by row block,
+    running k backwards from N: block k of :func:`_row_block` is k equations
+    a x = b, sum(x) = total in the k - 1 unknowns x = lambda_{k,1..k-1},
+    given the rows below it, and one :func:`hinv.exactlinalg.solve_consistent`
+    call solves it.  The top block's matrix a has determinant D(N) = 1/N on
+    the invariance level set, and every later block is unit triangular after
+    row operations, so each solution is unique.  Every equation is checked:
+    an inconsistent block, or a nonzero row-1 equation s_{1,1}, raises
+    InternalConsistencyError.
     """
-    from .exactlinalg import SingularMatrixError, mat_solve  # only this solver needs it
+    from .exactlinalg import InconsistentSystemError, solve_consistent  # only this solver needs it
 
     report = invariance_report(h)
     if not report.is_invariant():
         raise InvarianceError(report)
     n = h.n
     lam = {}
-    if n == 1:
-        return CertificateSet(1, {})
-
-    # Top block: multipliers lambda_{N, 1..N-1}.
-    size = n - 1
-    m_rows = [
-        [
-            (Fraction(1) if i == j else Fraction(0)) - h.column_sum(j, max(i, j), n - 1)
-            for i in range(1, n)
-        ]
-        for j in range(1, n)
-    ]
-    rhs = [h.column_sum(j, j, n - 1) for j in range(1, n)]
-    try:
-        top = mat_solve(m_rows, rhs)
-    except SingularMatrixError as exc:  # cannot happen under invariance; det = D(N) = 1/N
-        raise InternalConsistencyError("singular top block despite invariance") from exc
-    for j in range(1, n):
-        lam[(n, j)] = top[j - 1]
-
-    def coupling(k, j):
-        acc = Fraction(0)
-        for m in range(k + 1, n + 1):
-            acc += h.column_sum(j, k, m - 1) * lam[(m, k)]
-            acc += h.column_sum(k, k, m - 1) * lam[(m, j)]
-        return acc
-
-    for k in range(n - 1, 1, -1):
-        width = k - 1
-        rhs1 = Fraction(0)
-        for i in range(k + 1, n + 1):
-            rhs1 += (2 * h.column_sum(k, k, i - 1) - 1) * lam[(i, k)]
-        # Unit-triangular system after the row operations: row 1 is all ones,
-        # row j (j >= 2) has ones on the diagonal and column sums to its right.
-        upper = {}
-        rvec = [rhs1]
-        for j in range(2, k):
-            for i in range(j + 1, k):
-                upper[(j, i)] = h.column_sum(j, j, i - 1)
-            rvec.append(-coupling(k, j) + h.column_sum(j, j, k - 1) * rhs1)
-        sol = [Fraction(0)] * (width + 1)  # 1-based: sol[i] = lambda_{k,i}
-        for i in range(width, 1, -1):
-            acc = rvec[i - 1]
-            for i2 in range(i + 1, width + 1):
-                acc -= upper.get((i, i2), Fraction(0)) * sol[i2]
-            sol[i] = acc
-        sol[1] = rhs1 - sum(sol[2:width + 1], Fraction(0))
-        for i in range(1, k):
-            lam[(k, i)] = sol[i]
-        # The dropped first-column equation must hold automatically.
-        check = lam[(k, 1)]
-        for i in range(1, k):
-            check -= h.column_sum(1, max(i, 1), k - 1) * lam[(k, i)]
-        check += coupling(k, 1)
-        if check != 0:
-            raise InternalConsistencyError(f"dropped equation at row {k} violated")
-
-    # Row k = 1 contributes one pure consistency equation.
-    check = Fraction(0)
-    for i in range(2, n + 1):
-        check += (2 * h.column_sum(1, 1, i - 1) - 1) * lam[(i, 1)]
-    if check != 0:
+    for k in range(n, 1, -1):
+        a, b, total = _row_block(h, lam, k)
+        try:
+            x = solve_consistent(a + [[1] * (k - 1)], b + [total])
+        except InconsistentSystemError as exc:
+            raise InternalConsistencyError(f"row block {k} inconsistent despite invariance") from exc
+        lam.update(((k, i), v) for i, v in enumerate(x, start=1))
+    if _row_block(h, lam, 1)[2] != 0:
         raise InternalConsistencyError("row-1 consistency equation violated")
-
     return CertificateSet(n, lam)
 
 

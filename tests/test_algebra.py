@@ -370,6 +370,29 @@ def test_p_table_does_no_arithmetic_that_leaves_a_value_unchanged(monkeypatch):
     assert live and counts["__add__"]
 
 
+def test_q_table_subtracts_no_zero(monkeypatch):
+    # each Q entry is a difference of two P entries of the dual; where the
+    # lower one is zero (the pad of the shorter row, or a zero P value) the
+    # entry is the upper one itself, so no subtraction by zero is left
+    rng = random.Random(67)
+    mats = [H.self_dual_mixed(n, s) for n in range(4, 11) for s in range(2, n - 1)]
+    mats += [H.second_mixed(n, s) for n in range(4, 11) for s in range(2, n - 1)]
+    mats += [random_h(rng, size) for size in range(1, 9) for _ in range(3)]
+    reference = [unhoisted_q_table(h, h.n_minus_1) for h in mats]
+    subtrahends = []
+
+    def counted(a, b, op=F.__sub__):
+        subtrahends.append(b)
+        return op(a, b)
+
+    monkeypatch.setattr(F, "__sub__", counted)
+    got = [_q_table(h, h.n_minus_1) for h in mats]
+    monkeypatch.undo()
+    assert got == reference
+    assert all(type(x) is F for cols in got for col in cols for x in col)
+    assert subtrahends and all(subtrahends)
+
+
 def test_as_rational_hands_a_fraction_back_and_converts_the_rest():
     x = F(-3, 7)
     assert as_rational(x) is x

@@ -265,3 +265,33 @@ def test_is_ohm_tail():
         assert not H.is_ohm_tail(H.dual_ohm(n), 1)
     assert H.is_ohm_tail(H.dual_ohm(5), 5)  # vacuous beyond the last row
     assert not H.is_ohm_tail(H.dual_ohm(5), 2)
+
+
+def entrywise_is_ohm_tail(h, from_row):
+    """The forced-row formulas checked entry by entry against h's own column sums."""
+    for r in range(max(from_row, 1), h.n_minus_1 + 1):
+        if h.entry(r, r) != F(r, r + 1):
+            return False
+        for m in range(1, r):
+            if h.entry(r, m) != F(-1, r + 1) * sum((h.entry(i, m) for i in range(m, r)), F(0)):
+                return False
+    return True
+
+
+def test_is_ohm_tail_off_diagonal_mismatch_and_row_bounds():
+    ext = H.anytime_extend(H.dual_ohm(4), 6)
+    rows = [list(row) for row in ext.rows]
+    rows[5][1] += F(1, 7)  # row 6, column 2; the diagonal stays forced
+    bad = H.HMatrix(rows)
+    assert H.is_ohm_tail(ext, 4)
+    assert not any(H.is_ohm_tail(bad, r0) for r0 in (-1, 0, 1, 4, 6))
+    assert H.is_ohm_tail(bad, 7)  # vacuous past the last row
+    # from_row <= 1 checks every row, from_row > N - 1 none
+    for r0 in (-3, 0, 1):
+        assert H.is_ohm_tail(H.ohm(6), r0) and not H.is_ohm_tail(H.dual_ohm(6), r0)
+    for r0 in (6, 7, 40):
+        assert H.is_ohm_tail(H.dual_ohm(6), r0)
+    assert H.is_ohm_tail(H.HMatrix([]), 1)
+    for h in (ext, bad, H.ohm(5), H.dual_ohm(5), H.strange3(), H.self_dual_mixed(7, 3)):
+        for r0 in range(-1, h.n + 2):
+            assert H.is_ohm_tail(h, r0) == entrywise_is_ohm_tail(h, r0), (h, r0)

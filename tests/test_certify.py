@@ -55,15 +55,21 @@ def test_s_vanishes_at_certificates():
 
 
 def test_s_matches_expansion_oracle():
+    # the row-block builder serves both s_coefficients and the elimination,
+    # so the expansion is its one independent check: random and invariant
+    # matrices up to size 8, random multipliers and, where defined, the certificates
     rng = random.Random(101)
-    for _ in range(25):
-        size = rng.randint(1, 5)
-        h = random_h(rng, size)
-        lam = H.CertificateSet(h.n, {
+    population = [random_h(rng, rng.randint(1, 8)) for _ in range(25)]
+    population += [random_invariant_h(rng, n) for n in range(2, 10) for _ in range(2)]
+    for h in population:
+        lams = [H.CertificateSet(h.n, {
             (k, j): random_rational(rng)
             for k in range(2, h.n + 1) for j in range(1, k)
-        })
-        assert H.s_coefficients(h, lam) == s_by_expansion(h, lam)
+        })]
+        if H.invariance_report(h).is_invariant():
+            lams.append(H.certificates(h))
+        for lam in lams:
+            assert H.s_coefficients(h, lam) == s_by_expansion(h, lam), h
 
 
 def test_s_dimension_mismatch():
@@ -144,6 +150,30 @@ def test_elimination_agrees_on_violators_at_larger_horizons():
         lam = H.certificates(h)
         assert lam.negative_pairs() and lam.min_value() < 0 < max(v for _, v in lam.items()), n
         assert H.solve_lambda_by_elimination(h) == lam, n
+
+
+def test_elimination_agrees_with_closed_form_at_larger_horizons():
+    rng = random.Random(47)
+    for n in (16, 24):
+        for h in (H.ohm(n), H.dual_ohm(n), random_hull_h(rng, n)):
+            assert H.solve_lambda_by_elimination(h) == H.certificates(h), h
+
+
+def test_elimination_checks_the_top_block_total(monkeypatch):
+    # s_{N,N} = N - 1 - sum_j lambda_{N,j} is an equation of the top block: a
+    # shifted total makes that block inconsistent, and the solver says so
+    from hinv import oracles
+
+    row_block = oracles._row_block
+
+    def shifted(h, lam, k):
+        a, b, total = row_block(h, lam, k)
+        return a, b, total + (k == h.n)
+
+    monkeypatch.setattr(oracles, "_row_block", shifted)
+    for h in (H.ohm(5), H.dual_ohm(6), H.strange3()):
+        with pytest.raises(H.InternalConsistencyError, match=f"row block {h.n}"):
+            H.solve_lambda_by_elimination(h)
 
 
 def test_elimination_and_profile_round_trip_at_large_horizons():

@@ -5,12 +5,10 @@ import pytest
 
 from hinv.exactlinalg import (
     InconsistentSystemError,
-    SingularMatrixError,
     _echelon,
     leading_principal_minors,
     mat_det,
     mat_nullspace,
-    mat_solve,
     solve_consistent,
 )
 from hinv.oracles import det_by_permutations, random_rational
@@ -20,19 +18,12 @@ def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
 
 
-def test_mat_solve_unique_solution():
+def test_solve_consistent_unique_square_solution():
     a = [[F(0), F(2), F(1)], [F(1, 3), F(-1), F(0)], [F(4), F(0), F(-5, 2)]]
     x = [F(3, 4), F(-2), F(7)]
     b = mat_vec(a, x)
-    assert mat_solve(a, b) == x
-    assert mat_solve([], []) == []
-
-
-def test_mat_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        mat_solve([[F(1), F(2)], [F(1, 2), F(1)]], [F(1), F(1, 2)])  # rank 1, consistent
-    with pytest.raises(SingularMatrixError):
-        mat_solve([[F(0), F(0)], [F(0), F(0)]], [F(0), F(0)])
+    assert solve_consistent(a, b) == x
+    assert solve_consistent([], []) == []
 
 
 def test_mat_det_matches_leibniz_expansion():
@@ -163,7 +154,7 @@ def fraction_back_substitute(ech, pivots, cols, rhs_columns):
 
 
 def reference_solutions(a, b_columns):
-    """What mat_solve / solve_consistent / mat_nullspace return, through the Fraction route."""
+    """What solve_consistent / mat_nullspace return, through the Fraction route."""
     n = len(a[0])
     ech, pivots, _ = _echelon([list(row) + list(rhs) for row, rhs in zip(a, zip(*b_columns))], n)
     solutions = fraction_back_substitute(
@@ -197,8 +188,6 @@ def test_fraction_free_back_substitution_matches_fraction_route():
         block = solve_consistent(a, [list(row) for row in zip(*b_columns)])
         assert [list(col) for col in zip(*block)] == solutions, trial
         assert mat_nullspace(a) == basis, trial
-        if rows == cols == rank(a):
-            assert [mat_solve(a, b) for b in b_columns] == solutions, trial
     assert negative_pivots
 
 

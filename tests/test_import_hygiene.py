@@ -35,8 +35,10 @@ LOADS = {
     "gen": CORE | {"catalog"},
     "sweep": CORE | {"catalog"},
     "falsify": CORE | {"worstcase", "exactlinalg"},
-    # the certificate-solvers check runs solve_lambda_by_elimination's mat_solve
+    # the certificate-solvers check solves each row block with solve_consistent
     "oracle-check": CORE | {"oracles", "exactlinalg"},
+    # simulate reads the cyclic operator from worstcase, which imports exactlinalg
+    "simulate": CORE | {"simulate", "worstcase", "exactlinalg"},
 }
 
 
@@ -106,6 +108,7 @@ def test_float_command_loads_numpy(argv, files, capsys):
     proc, code, stdout = run_both(capsys, resolve(argv, files))
     report = loaded(proc.stderr)
     assert report["numpy"] and not report["dataclasses"]
+    assert set(report["hinv"]) == LOADS[argv[0]]
     assert proc.returncode == code == 0
     assert proc.stdout == stdout
 
