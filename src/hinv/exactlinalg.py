@@ -1,9 +1,10 @@
 """Small dense exact linear algebra over rationals, sized for a few dozen rows.
 
-One fraction-free elimination, `_echelon`, serves every routine: it scales
-each row of Fractions (or ints) to coprime integers and runs Bareiss steps,
-so every entry stays an integer and every division is exact.  `mat_det`, and
-through it `leading_principal_minors`, reads the last pivot;
+Fraction-free Bareiss steps keep every entry an integer and every division
+exact.  `leading_principal_minors` makes one pass with no swaps over the
+matrix scaled to integers once, and reads minor k off pivot k.  Every other
+routine runs `_echelon`, which scales each row of Fractions (or ints) to
+coprime integers and swaps rows: `mat_det` reads the last pivot, and
 `solve_consistent` and `mat_nullspace` back-substitute from the echelon rows
 over one common denominator, building one Fraction per solution entry.  A
 square system with a unique solution is one `solve_consistent` call.  No
@@ -75,9 +76,27 @@ def mat_det(a) -> Fraction:
 
 
 def leading_principal_minors(a):
-    """Determinants of the k-by-k upper-left blocks, k = 1..n."""
+    """Determinants of the k-by-k upper-left blocks, k = 1..n, from one Bareiss pass.
+
+    The matrix is scaled to integers once by den, the lcm of its denominators
+    (an all-int one is taken as it is).  With no swaps and no row gcd, pivot k
+    is the k-th leading minor of the scaled matrix (Sylvester's identity), so
+    minor k is pivot k over den^k.  A zero pivot ends the pass: that minor is
+    0, and each later block gets its own `mat_det`.
+    """
     n = len(a)
-    return [mat_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    rest, den = (a, 1) if all(type(x) is int for row in a for x in row) else integer_rows(a)
+    minors, prev = [], 1
+    for k in range(n):
+        p = rest[0][0]
+        if not p:
+            later = [mat_det([row[:m] for row in a[:m]]) for m in range(k + 2, n + 1)]
+            return minors + [Fraction(0)] + later
+        minors.append(Fraction(p, den ** (k + 1)))
+        prow = rest[0][1:]
+        rest = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], prow)] for row in rest[1:]]
+        prev = p
+    return minors
 
 
 def _back_substitute(ech, pivots, cols, rhs_columns):

@@ -17,7 +17,6 @@ from collections import namedtuple
 import numpy as np
 
 from .algebra import HMatrix
-from .worstcase import worst_operator
 
 
 class OperatorOracle:
@@ -134,6 +133,8 @@ def anytime_check(h: HMatrix, oracle: OperatorOracle, y0, r_sq: float):
 
 def worst_case_oracle(n: int) -> OperatorOracle:
     """Float oracle for the cyclic operator T = I - 2G on R^n (orthogonal)."""
+    from .worstcase import worst_operator  # only the cyclic oracle loads the exact witness code
+
     t = np.array([[float(x) for x in row] for row in worst_operator(n).t_matrix()])
     return OperatorOracle(dimension=n, evaluate=lambda x: t @ x, description=f"cyclic {n}d")
 

@@ -25,3 +25,23 @@ def catalog12():
 @pytest.fixture(scope="session")
 def catalog8():
     return catalog_members(8)
+
+
+@pytest.fixture
+def mat_det_calls(monkeypatch):
+    """The orders of the matrices passed to ``hinv.exactlinalg.mat_det``, one entry per call.
+
+    The counter replaces both names the package reads it by: the module's own,
+    which `leading_principal_minors` calls, and the one `hinv.worstcase` imports.
+    """
+    from hinv import exactlinalg, worstcase
+
+    calls, exact = [], exactlinalg.mat_det
+
+    def counted(a):
+        calls.append(len(a))
+        return exact(a)
+
+    monkeypatch.setattr(exactlinalg, "mat_det", counted)
+    monkeypatch.setattr(worstcase, "mat_det", counted)
+    return calls

@@ -176,6 +176,22 @@ def test_elimination_checks_the_top_block_total(monkeypatch):
             H.solve_lambda_by_elimination(h)
 
 
+def test_elimination_checks_the_row_1_equation(monkeypatch):
+    # block 1 has no unknowns, so a shifted total there reaches only the row-1 check
+    from hinv import oracles
+
+    row_block = oracles._row_block
+
+    def shifted(h, lam, k):
+        a, b, total = row_block(h, lam, k)
+        return a, b, total + (k == 1)
+
+    monkeypatch.setattr(oracles, "_row_block", shifted)
+    for h in (H.ohm(5), H.dual_ohm(6), H.strange3()):
+        with pytest.raises(H.InternalConsistencyError, match="row-1 consistency"):
+            H.solve_lambda_by_elimination(h)
+
+
 def test_elimination_and_profile_round_trip_at_large_horizons():
     rng = random.Random(71)
     for n in (16, 20, 24):

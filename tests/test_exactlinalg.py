@@ -191,6 +191,53 @@ def test_fraction_free_back_substitution_matches_fraction_route():
     assert negative_pivots
 
 
+def zero_pivot_at(rng, n, k, entry):
+    """An n-by-n matrix whose k-th leading minor (1-based) is 0 and whose earlier ones are not.
+
+    Row k agrees on its first k entries with a combination of the rows above
+    it (it starts with 0 when k = 1), so the one-pass elimination meets a zero
+    pivot in column k after k - 1 nonzero ones.
+    """
+    while True:
+        a = [[entry(rng) for _ in range(n)] for _ in range(n)]
+        coeffs = [rng.randint(-3, 3) for _ in range(k - 1)]
+        a[k - 1][:k] = [sum((c * row[col] for c, row in zip(coeffs, a)), 0 * a[0][0]) for col in range(k)]
+        if all(det_by_permutations([row[:m] for row in a[:m]]) for m in range(1, k)):
+            return a
+
+
+def test_leading_minors_one_pass_meets_a_zero_pivot_first_midway_and_last(mat_det_calls):
+    # the pass reads every minor of a matrix without a zero one off its pivots, with no
+    # determinant call; at a zero pivot each later block gets its own mat_det
+    rng = random.Random(303)
+
+    def reference(a):
+        return [det_by_permutations([row[:m] for row in a[:m]]) for m in range(1, len(a) + 1)]
+
+    def integer(rng):
+        return rng.randint(-9, 9)
+
+    def rational(rng):
+        return random_rational(rng) * F(1, rng.randint(1, 9))
+
+    for n in (5, 6):
+        a = [[integer(rng) for _ in range(n)] for _ in range(n)]
+        want = reference(a)
+        del mat_det_calls[:]
+        assert all(want) and leading_principal_minors(a) == want and not mat_det_calls, n
+        for k in (1, n // 2, n):
+            a = zero_pivot_at(rng, n, k, integer)
+            want = reference(a)
+            assert want[k - 1] == 0, (n, k)
+            del mat_det_calls[:]
+            assert leading_principal_minors(a) == want, (n, k)
+            assert mat_det_calls == list(range(k + 1, n + 1)), (n, k)
+    a = zero_pivot_at(rng, 6, 3, rational)
+    assert len({x.denominator for row in a for x in row}) > 2
+    assert leading_principal_minors(a) == reference(a)
+    assert leading_principal_minors([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 4)]]) == [F(1, 2), F(1, 72)]
+
+
 def skipped_column(rng, rows, cols, j, ratio):
     """A seeded rows x cols rational matrix whose column j (j >= 1) is ratio times column 0.
 

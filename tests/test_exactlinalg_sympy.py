@@ -5,9 +5,9 @@ reduced row echelon forms and nullspaces with its own code, so agreement
 with ``hinv.exactlinalg`` on seeded rational matrices up to n = 20 checks
 the fraction-free elimination from outside the package, also on matrices
 whose elimination skips a column partway.  The leading principal minors are
-checked on integer and rational matrices up to n = 12.  sympy is an optional
-test tool (the ``test`` extra), not a dependency; without it this module is
-skipped.
+checked on integer and rational matrices up to n = 12, also where the
+one-pass elimination meets a zero pivot.  sympy is an optional test tool
+(the ``test`` extra), not a dependency; without it this module is skipped.
 """
 
 import random
@@ -121,6 +121,31 @@ def skipped_column(rng, rows, cols, j, ratio):
     for row in a:
         row[j] = ratio * row[0]
     return a
+
+
+def sympy_minors(a):
+    return [to_fraction(to_domain([row[:k] for row in a[:k]]).det()) for k in range(1, len(a) + 1)]
+
+
+def test_leading_minors_at_a_zero_pivot_match_sympy():
+    # row k agrees on its first k entries with a combination of the rows above it, so
+    # the one-pass elimination stops at the zero pivot in column k (first, midway, last);
+    # integer matrices, and one rational matrix with mixed denominators
+    rng = random.Random(307)
+    cases = [(n, k, lambda n=n: [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+             for n in (4, 8, 12) for k in (1, n // 2, n)]
+    cases.append((9, 5, lambda: random_matrix(rng, 9, 9)))
+    for n, k, draw in cases:
+        while True:
+            a = draw()
+            coeffs = [rng.randint(-3, 3) for _ in range(k - 1)]
+            a[k - 1][:k] = [sum((c * row[col] for c, row in zip(coeffs, a)), 0 * a[0][0])
+                            for col in range(k)]
+            want = sympy_minors(a)
+            if all(want[:k - 1]):
+                break
+        assert want[k - 1] == 0 and leading_principal_minors(a) == want, (n, k)
+    assert len({x.denominator for row in a for x in row}) > 2
 
 
 SKIP_SHAPES = ((20, 20), (12, 20), (20, 9), (16, 16), (6, 11), (7, 7), (3, 3))

@@ -37,7 +37,7 @@ LOADS = {
     "falsify": CORE | {"worstcase", "exactlinalg"},
     # the certificate-solvers check solves each row block with solve_consistent
     "oracle-check": CORE | {"oracles", "exactlinalg"},
-    # simulate reads the cyclic operator from worstcase, which imports exactlinalg
+    # the default cyclic oracle reads its operator from worstcase, which imports exactlinalg
     "simulate": CORE | {"simulate", "worstcase", "exactlinalg"},
 }
 
@@ -111,6 +111,17 @@ def test_float_command_loads_numpy(argv, files, capsys):
     assert set(report["hinv"]) == LOADS[argv[0]]
     assert proc.returncode == code == 0
     assert proc.stdout == stdout
+
+
+def test_simulate_off_the_cyclic_operator_loads_no_witness_code(files, tmp_path, capsys):
+    y0 = tmp_path / "y0.json"
+    y0.write_text("[0.6, -0.8]")
+    argv = ["simulate", "--h", files["optimal"], "--oracle", "rotation:0.7", "--y0", str(y0)]
+    proc, code, stdout = run_both(capsys, argv)
+    report = loaded(proc.stderr)
+    assert report["numpy"] and not report["dataclasses"]
+    assert set(report["hinv"]) == CORE | {"simulate"}
+    assert proc.returncode == code == 0 and proc.stdout == stdout
 
 
 def test_package_import_leaves_numpy_out():

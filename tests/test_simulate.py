@@ -76,6 +76,12 @@ def test_linear_oracle_rejects_expansive_map_power_iteration_misses():
     H.linear_oracle(np.array([[0.5, -0.5], [-0.5, 0.5]]))  # norm 1 passes
 
 
+def test_linear_oracle_norm_slack_is_1e_12():
+    with pytest.raises(ValueError, match="not nonexpansive"):
+        H.linear_oracle(np.diag([1.0 + 1e-9, 0.5]))
+    H.linear_oracle(np.diag([1.0 + 1e-13, 0.5]))
+
+
 def test_linear_oracle_rejects_non_finite_entries_by_position():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"entry \(1,2\) is -?(nan|inf), not a finite number"):
@@ -93,6 +99,16 @@ def test_expansive_oracle_warns():
         warnings.simplefilter("always")
         H.run(H.ohm(3), oracle, np.array([1.0, 0.5]))
     assert any("expansive" in str(w.message) for w in caught)
+
+
+def test_spot_check_tolerance_is_1e_12_relative():
+    # a reflection that stretches distances by 1e-9 warns; one by 1e-13 does not
+    for stretch, warns in ((1e-9, True), (1e-13, False)):
+        oracle = H.OperatorOracle(2, lambda x, f=1.0 + stretch: -f * x, "stretched reflection")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            H.run(H.ohm(3), oracle, np.array([1.0, 0.5]))
+        assert any("expansive" in str(w.message) for w in caught) == warns, stretch
 
 
 def test_anytime_check_ohm_all_ok():

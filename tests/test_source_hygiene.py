@@ -1,10 +1,12 @@
-"""Static checks on ``src/hinv``: nothing a deletion leaves behind survives.
+"""Static checks on ``src/hinv``: nothing a deletion leaves behind survives,
+and every mutant of ``tests/mutants.py`` still applies.
 
 Each module is parsed with ``ast``, not imported, so the checks take
 milliseconds and see the source exactly as written.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +60,23 @@ def test_the_checks_see_what_they_look_for():
                      "def _g():\n    pass\n\nclass _C:\n    def m(self):\n        return _g()\n")
     assert list(top_level_imports(tree)) == ["os", "z"]
     assert unreferenced_private_definitions({"m.py": tree}) == ["m.py:_f", "m.py:_C"]
+
+
+def test_every_mutant_still_applies_and_names_existing_tests():
+    # tests/mutants.py lists one-line faults of src/hinv; an edit that moves an old
+    # text or renames a killing test must update the list, or the list would rot
+    spec = importlib.util.spec_from_file_location("mutants", Path(__file__).with_name("mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    entries = list(mutants.MUTANTS) + [mutant for mutant, _ in mutants.EQUIVALENT]
+    assert len({m.name for m in entries}) == len(entries)
+    tests_dir = Path(__file__).resolve().parent
+    for m in entries:
+        assert (SRC / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new, m.name
+    for m in mutants.MUTANTS:
+        assert m.kills, m.name
+        for test in m.kills:
+            path, name = test.split("::")
+            tree = ast.parse((tests_dir.parent / path).read_text())
+            assert name in {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}, test

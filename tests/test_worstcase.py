@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 import hinv as H
+import hinv.worstcase as wc
+from hinv import serialization as ser
+from hinv.cli import main
 from hinv.combinatorics import binom, integer_rows
 from hinv.exactlinalg import leading_principal_minors, mat_det
 from hinv.oracles import (
@@ -169,6 +173,18 @@ def test_interpolation_traces_identity_gram():
     ledger = H.interpolation_traces(ident, h)
     assert ledger.a_traces == {(2, 1): F(-1)}
     assert ledger.b_traces == {1: F(-1), 2: F(-1)}
+
+
+def test_interpolation_traces_read_the_symmetrized_gram():
+    # the traces are those of (G + G^T) / 2: an antisymmetric part changes nothing
+    rng = random.Random(515)
+    for h in (H.ohm(4), H.h_dual(H.strange3()), random_h(rng, 5)):
+        n = h.n
+        asym = [[random_rational(rng) for _ in range(n + 1)] for _ in range(n + 1)]
+        sym = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(asym, zip(*asym))]
+        assert asym != sym
+        got, want = H.interpolation_traces(asym, h), H.interpolation_traces(sym, h)
+        assert (got.a_traces, got.b_traces) == (want.a_traces, want.b_traces), n
 
 
 def test_interpolation_traces_dimension_check():
@@ -366,8 +382,6 @@ def test_build_perturbation_integer_rechecks_catch_a_wrong_coefficient(monkeypat
     # delta lies in the span of the complement basis whatever its coefficients, so
     # the coefficient to skew is one entry of one basis matrix: it leaves a nonzero
     # trace, which the integer re-checks report
-    import hinv.worstcase as wc
-
     exact = wc._complement_basis
     h = H.h_dual(H.strange3())
     for k, r, c in ((0, 0, 0), (4, 3, 1), (2, 2, 4)):
@@ -383,6 +397,38 @@ def test_build_perturbation_integer_rechecks_catch_a_wrong_coefficient(monkeypat
             H.build_perturbation(h, 4, 2)
     monkeypatch.setattr(wc, "_complement_basis", exact)
     assert H.build_perturbation(h, 4, 2) == perturbation_by_normal_equations(h, 4, 2)
+
+
+def test_build_perturbation_corner_recheck_catches_a_wrong_corner(monkeypatch):
+    # the corner of a basis matrix enters no trace of the iterates, so a skewed
+    # corner leaves every trace zero and only the corner re-check can see it
+    exact = wc._complement_basis
+    h = H.h_dual(H.strange3())
+
+    def skewed(basis, i0, j0):
+        mats = exact(basis, i0, j0)
+        for m in mats:
+            m[-1][-1] += 1
+        return mats
+
+    monkeypatch.setattr(wc, "_complement_basis", skewed)
+    with pytest.raises(H.InternalConsistencyError, match="corner entry"):
+        H.build_perturbation(h, 4, 2)
+
+
+def test_build_perturbation_selector_recheck_fires_on_a_nonpositive_selector(monkeypatch):
+    exact = wc._defining_traces
+    h = H.h_dual(H.strange3())
+    for which in (3, 4):  # d = N <M, D>, then e = <M, E>
+
+        def zeroed(xs, m, which=which):
+            traces = list(exact(xs, m))
+            traces[which] = 0
+            return tuple(traces)
+
+        monkeypatch.setattr(wc, "_defining_traces", zeroed)
+        with pytest.raises(H.InternalConsistencyError, match="selectors"):
+            H.build_perturbation(h, 4, 2)
 
 
 def test_complement_basis_is_orthogonal_to_the_span_and_independent():
@@ -504,7 +550,8 @@ def test_witness_for_strange_dual():
 
 def test_witness_epsilon_is_the_first_halving_with_positive_fraction_minors():
     # the integer epsilon-halving accepts exactly the epsilon that halving on the
-    # Fraction matrix G0 + epsilon * delta accepts
+    # Fraction matrix G0 + epsilon * delta accepts; here each leading minor is its own
+    # mat_det, which shares no code with the witness's one-pass minors
     h = H.h_dual(H.strange3())
     cases = [(h, pair) for pair in H.certificates(h).negative_pairs()]
     rng = random.Random(4242)
@@ -519,14 +566,62 @@ def test_witness_epsilon_is_the_first_halving_with_positive_fraction_minors():
         def perturbed(eps):
             return [[g + eps * d for g, d in zip(gr, dr)] for gr, dr in zip(g0, delta)]
 
+        def block_minors(a):
+            return [mat_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
         eps = F(1)
-        while not all(m > 0 for m in leading_principal_minors(perturbed(eps))):
+        while not all(m > 0 for m in block_minors(perturbed(eps))):
             eps /= 2
         w = H.suboptimality_witness(h, *pair)
         assert w.epsilon == eps, (h.n, pair)
         assert w.gram_rows() == perturbed(eps)
         below_one += eps < 1
     assert below_one
+
+
+def test_witness_determinant_recheck_catches_wrong_minors(monkeypatch):
+    # minors that report positive definiteness the matrix lacks (or a wrong last one)
+    # disagree with mat_det on the accepted matrix
+    exact = wc.leading_principal_minors
+    monkeypatch.setattr(wc, "leading_principal_minors", lambda a: [abs(m) + 1 for m in exact(a)])
+    h = H.h_dual(H.strange3())
+    for pair in H.certificates(h).negative_pairs():
+        with pytest.raises(H.InternalConsistencyError, match="determinant disagrees"):
+            H.suboptimality_witness(h, *pair)
+
+
+def test_witness_residual_recheck_catches_a_direction_that_lowers_the_terminal_entry(monkeypatch):
+    # G0 + delta = I / (2 N^2) is positive definite at epsilon = 1, and its residual
+    # 4 / (2 N^2) misses the optimal rate, which only the residual re-check sees
+    h = H.h_dual(H.strange3())
+    n = h.n
+    lowered = [[F(int(i == j), 2 * n * n) - g for j, g in enumerate(row)]
+               for i, row in enumerate(H.gram_g0(h))]
+    monkeypatch.setattr(wc, "build_perturbation", lambda h, i0, j0: lowered)
+    with pytest.raises(H.InternalConsistencyError, match="residual does not exceed"):
+        H.suboptimality_witness(h)
+
+
+def test_falsify_checks_each_witness_with_one_determinant(tmp_path, capsys, monkeypatch, mat_det_calls):
+    # rejected epsilons cost one leading-minor pass each and no determinant; the
+    # accepted one adds the single mat_det re-check
+    passes = []
+    exact = wc.leading_principal_minors
+
+    def counted(a):
+        passes.append(len(a))
+        return exact(a)
+
+    monkeypatch.setattr(wc, "leading_principal_minors", counted)
+    rng = random.Random(623)  # three violators whose witnesses all halve epsilon
+    for t in range(3):
+        h = random_certificate_violating_h(rng, 6)
+        path = tmp_path / f"v{t}.json"
+        path.write_text(json.dumps(ser.hmatrix_to_dict(h)))
+        del mat_det_calls[:], passes[:]
+        assert main(["falsify", str(path), "--emit-vectors"]) == 0
+        assert json.loads(capsys.readouterr().out)["vectors"]
+        assert mat_det_calls == [7] and len(passes) > 1 and set(passes) == {7}, t
 
 
 def test_witness_errors():
@@ -547,6 +642,16 @@ def test_witness_random_violating_large_horizons():
     for n in (10, 11, 12, 13, 14):
         h = random_certificate_violating_h(rng, n)
         _check_witness(h, H.suboptimality_witness(h))
+
+
+def test_witness_vectors_report_a_failed_float_cholesky(monkeypatch):
+    def refuse(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    w = H.suboptimality_witness(H.h_dual(H.strange3()), 4, 2)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(H.InternalConsistencyError, match="float Cholesky failed"):
+        H.witness_vectors(w)
 
 
 def test_witness_vectors_roundtrip():
