@@ -79,13 +79,13 @@ def leading_principal_minors(a):
     """Determinants of the k-by-k upper-left blocks, k = 1..n, from one Bareiss pass.
 
     The matrix is scaled to integers once by den, the lcm of its denominators
-    (an all-int one is taken as it is).  With no swaps and no row gcd, pivot k
-    is the k-th leading minor of the scaled matrix (Sylvester's identity), so
-    minor k is pivot k over den^k.  A zero pivot ends the pass: that minor is
-    0, and each later block gets its own `mat_det`.
+    (1 for an all-int one).  With no swaps and no row gcd, pivot k is the k-th
+    leading minor of the scaled matrix (Sylvester's identity), so minor k is
+    pivot k over den^k.  A zero pivot ends the pass: that minor is 0, and each
+    later block gets its own `mat_det`.
     """
     n = len(a)
-    rest, den = (a, 1) if all(type(x) is int for row in a for x in row) else integer_rows(a)
+    rest, den = integer_rows(a)
     minors, prev = [], 1
     for k in range(n):
         p = rest[0][0]

@@ -149,16 +149,7 @@ def gram_g0(h: HMatrix):
     n = h.n
     rows, den = integer_rows(_p_table(h, n - 1))
     vectors = [signed_binomial_transform(row) for row in rows] + [[den] * n]
-    return _symmetric_fractions(gram(vectors), n * den * den)
-
-
-def _symmetric_fractions(rows, den):
-    """The Fraction matrix rows / den of a symmetric int matrix: one Fraction per lower entry, mirrored."""
-    out = [[None] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j in range(i + 1):
-            out[i][j] = out[j][i] = Fraction(row[j], den)
-    return out
+    return [[Fraction(x, n * den * den) for x in row] for row in gram(vectors)]
 
 
 class ConstraintBasis(namedtuple("ConstraintBasis", "n xs scale")):
@@ -302,10 +293,8 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     (f = 0 when E' = 0), and symmetrically E' - g D'.  Projections are
     unique, so this equals the dense normal-equation route exactly.
 
-    Every X_k is symmetric, so the Gram matrix is that of the diagonals plus
-    twice that of the strict lower triangles, and the integer combination is
-    built on the lower triangle and mirrored, as is the one Fraction per
-    entry of the returned direction.  The construction succeeds
+    The basis, its Gram matrix and the combination are integers, and the
+    direction becomes a Fraction matrix once.  The construction succeeds
     exactly when the certificate at (i0, j0) is negative.  The five defining
     trace conditions are re-checked exactly on the integer direction M, from
     one table T[a][b] = x_a . M[b] of the integer iterates whose heads built
@@ -322,9 +311,7 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
 
     basis = constraint_matrices(h)
     mats = _complement_basis(basis, i0, j0)
-    diag = gram([[m[i][i] for i in range(n + 1)] for m in mats])
-    low = gram([[x for i, row in enumerate(m) for x in row[:i]] for m in mats])
-    frob = [[x + 2 * y for x, y in zip(dr, lr)] for dr, lr in zip(diag, low)]  # Frobenius products
+    frob = gram([[x for row in m for x in row] for m in mats])  # Frobenius inner products
     # N <X_k, D> and N <X_k, E>, so the solution is N times the coefficients
     rhs = [[n * m[n - 1][n - 1] - 2 * m[n - 1][n], n * m[n - 1][n - 1]] for m in mats]
     cd, ce = zip(*solve_consistent(frob, rhs))
@@ -333,10 +320,8 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
     we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f
     (ints,), den = integer_rows([[wd * x + we * y for x, y in zip(cd, ce)]])
-    scaled = [[0] * (n + 1) for _ in range(n + 1)]  # N den delta, symmetric as every X_k is
-    for r in range(n + 1):
-        for col in range(r + 1):
-            scaled[r][col] = scaled[col][r] = sum(c * m[r][col] for c, m in zip(ints, mats) if c)
+    scaled = [[sum(c * m[r][col] for c, m in zip(ints, mats) if c) for col in range(n + 1)]
+              for r in range(n + 1)]  # N den delta
 
     a, b, c, d, e = _defining_traces(basis.xs, scaled)
     if a.pop((i0, j0)) <= 0:
@@ -349,7 +334,7 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
         raise InternalConsistencyError("corner entry of the direction is nonzero")
     if d <= 0 or e <= 0:
         raise InternalConsistencyError("terminal-entry selectors not strictly positive")
-    return _symmetric_fractions(scaled, n * den)
+    return [[Fraction(x, n * den) for x in row] for row in scaled]
 
 
 def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = None) -> GramWitness:
@@ -365,8 +350,8 @@ def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = No
     multiple of G0 + 2^-k delta, so its leading minors have the same signs;
     one Bareiss pass gives them all.  On the accepted matrix `mat_det`, an
     independent elimination with swaps and row gcds, must equal the last
-    minor.  The Gram matrix becomes Fractions once, one per lower entry.  The
-    witness carries residual_sq = 4 * gram[N][N] > 4/N^2.
+    minor.  The Fraction Gram matrix is built once, at the accepted epsilon.
+    The witness carries residual_sq = 4 * gram[N][N] > 4/N^2.
     """
     if (i0 is None) != (j0 is None):
         raise ValueError("pass both pair indices or neither")
@@ -390,7 +375,7 @@ def suboptimality_witness(h: HMatrix, i0: int | None = None, j0: int | None = No
         raise InternalConsistencyError("halving failed to restore positive definiteness")
     if mat_det(scaled) != minors[-1]:
         raise InternalConsistencyError("determinant disagrees with the last leading minor")
-    gram = _symmetric_fractions(scaled, den << k)
+    gram = [[Fraction(x, den << k) for x in row] for row in scaled]
     residual_sq = 4 * gram[n - 1][n - 1]
     if residual_sq <= Fraction(4, n * n):
         raise InternalConsistencyError("witness residual does not exceed the optimal rate")

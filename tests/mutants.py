@@ -10,15 +10,12 @@ match ``test_*.py``), and ``tests/test_source_hygiene.py`` checks that every
 old text still occurs once and that every listed test still exists.
 
     python tests/mutants.py              # each mutant against its listed tests
-    python tests/mutants.py --full       # each mutant against the whole suite, with -x
-                                         # (less the list check, which every mutant trips)
 
 Each mutant runs on its own copy of the checkout in a temporary directory,
 so the checkout itself is never edited.  The exit code is 1 if any mutant
 survives.
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -98,7 +95,6 @@ EQUIVALENT = (
      "only build_perturbation's Frobenius solve gets slower"),
 )
 
-LIST_CHECK = "tests/test_source_hygiene.py::test_every_mutant_still_applies_and_names_existing_tests"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-*")
 
 
@@ -111,31 +107,25 @@ def apply(mutant, root):
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run_mutant(mutant, full):
-    """(killed, detail): with ``full`` the whole suite under -x, else the listed tests."""
+def run_mutant(mutant):
+    """(killed, detail): the mutant is killed when every one of its listed tests fails."""
     with tempfile.TemporaryDirectory(prefix="hinv-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
         apply(mutant, copy)
-        # the list check fails on every mutated copy, since the old text is gone from it
-        args = ["-x", "--deselect", LIST_CHECK] if full else ["-rf", *mutant.kills]
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
+                               *mutant.kills],
                               cwd=copy, capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(copy / "src")})
     failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
-    if full:
-        return proc.returncode != 0, ", ".join(sorted(failed)) or proc.stdout.strip().splitlines()[-1]
     missed = [test for test in mutant.kills if test not in failed]
     return not missed, "every listed test failed" if not missed else f"passed: {', '.join(missed)}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--full", action="store_true", help="run the whole suite with -x per mutant")
-    args = parser.parse_args(argv)
+def main():
     survivors = 0
     for mutant in MUTANTS:
-        killed, detail = run_mutant(mutant, args.full)
+        killed, detail = run_mutant(mutant)
         survivors += not killed
         print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name}: {detail}", flush=True)
     for mutant, reason in EQUIVALENT:
