@@ -6,9 +6,11 @@ matrix scaled to integers once, and reads minor k off pivot k.  Every other
 routine runs `_echelon`, which scales each row of Fractions (or ints) to
 coprime integers and swaps rows: `mat_det` reads the last pivot, and
 `solve_consistent` and `mat_nullspace` back-substitute from the echelon rows
-over one common denominator, building one Fraction per solution entry.  A
-square system with a unique solution is one `solve_consistent` call.  No
-floating point enters anywhere in this module.
+over one common denominator, building one Fraction per solution entry.
+`solve_consistent(a, columns)` takes a list of right-hand-side columns and
+returns one solution per column, so a square system with a unique solution
+is one call with one column.  No floating point enters anywhere in this
+module.
 """
 
 import math
@@ -34,7 +36,7 @@ def _echelon(rows, cols):
     column, and a skipped column is in none of these minors.  Later columns
     (right-hand sides) ride along.  The factor is the swap sign over the
     product of the row scales.  Exactness does not need the row gcd, and it
-    costs time on the witness's leading blocks, but it pays on
+    costs time on the one `mat_det` re-check of each witness, but it pays on
     `build_perturbation`'s Frobenius solve: that system's rows share large
     common factors, which without it would ride through every step.
     """
@@ -128,27 +130,20 @@ def _back_substitute(ech, pivots, cols, rhs_columns):
     return solutions
 
 
-def solve_consistent(a, b):
-    """One solution of a (possibly rank-deficient) consistent system.
+def solve_consistent(a, columns):
+    """One solution per right-hand side of a (possibly rank-deficient) consistent system.
 
-    ``b`` is one right-hand side (a vector) or several (a matrix with one
-    column per right-hand side); the solution has the same shape, and one
-    elimination serves every column.  Free variables are set to zero.
-    Raises InconsistentSystemError when the system has no solution.
+    ``columns`` lists the right-hand sides, each a vector with one entry per
+    row of ``a``; one elimination serves them all, and the result lists one
+    solution per column, its free variables set to zero.  Raises
+    InconsistentSystemError when any column has no solution.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    several = bool(b) and isinstance(b[0], (list, tuple))
-    width = len(b[0]) if several else 1
-    ech, pivots, _ = _echelon(
-        [list(row) + (list(rhs) if several else [rhs]) for row, rhs in zip(a, b)], n
-    )
+    ech, pivots, _ = _echelon([list(row) + [col[r] for col in columns] for r, row in enumerate(a)], n)
     if any(any(row[n:]) for row in ech[len(pivots):]):
         raise InconsistentSystemError("system has no solution")
-    columns = _back_substitute(ech, pivots, n, [[row[n + k] for row in ech] for k in range(width)])
-    if several:
-        return [[col[i] for col in columns] for i in range(n)]
-    return columns[0]
+    return _back_substitute(ech, pivots, n, [[row[n + k] for row in ech] for k in range(len(columns))])
 
 
 def mat_nullspace(a):

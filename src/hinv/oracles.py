@@ -180,7 +180,7 @@ def solve_lambda_by_elimination(h: HMatrix) -> CertificateSet:
     for k in range(n, 1, -1):
         a, b, total = _row_block(h, lam, k)
         try:
-            x = solve_consistent(a + [[1] * (k - 1)], b + [total])
+            x, = solve_consistent(a + [[1] * (k - 1)], [b + [total]])
         except InconsistentSystemError as exc:
             raise InternalConsistencyError(f"row block {k} inconsistent despite invariance") from exc
         lam.update(((k, i), v) for i, v in enumerate(x, start=1))
@@ -294,9 +294,8 @@ def perturbation_by_normal_equations(h: HMatrix, i0: int, j0: int):
     def off_span(t):
         """members[t] minus its projection onto all other members, by normal equations."""
         keep = [r for r in range(len(members)) if r != t]
-        coeffs = solve_consistent(
-            [[gram[r][c] for c in keep] for r in keep], [gram[r][t] for r in keep]
-        )
+        coeffs, = solve_consistent([[gram[r][c] for c in keep] for r in keep],
+                                   [[gram[r][t] for r in keep]])
         out = [list(row) for row in members[t]]
         for coeff, r in zip(coeffs, keep):
             for i, row in enumerate(members[r]):
@@ -401,24 +400,26 @@ def sparsity_relation_ratios(n: int, j: int, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial identity sweeps.  Each returns a list of counterexample
-# tuples; empty means the identity held everywhere on the range.
+# Combinatorial identity sweeps over every range bounded by _LIMIT.  Each
+# returns a list of counterexample tuples; empty means the identity held.
+
+_LIMIT = 20
 
 
-def check_vandermonde_convolution(limit: int = 20):
+def check_vandermonde_convolution():
     bad = []
-    for a in range(-limit, limit + 1):
-        for b in range(-limit, limit + 1):
-            for c in range(0, limit + 1):
+    for a in range(-_LIMIT, _LIMIT + 1):
+        for b in range(-_LIMIT, _LIMIT + 1):
+            for c in range(0, _LIMIT + 1):
                 lhs = sum(binom(a, i) * binom(b, c - i) for i in range(c + 1))
                 if lhs != binom(a + b, c):
                     bad.append((a, b, c))
     return bad
 
 
-def check_hockey_stick(limit: int = 20):
+def check_hockey_stick():
     bad = []
-    for p in range(0, limit + 1):
+    for p in range(0, _LIMIT + 1):
         for q in range(0, p + 1):
             for r in range(0, p - q + 1):
                 lhs = sum(binom(p - j, q) * binom(j, r) for j in range(r, p - q + 1))
@@ -427,11 +428,11 @@ def check_hockey_stick(limit: int = 20):
     return bad
 
 
-def check_binomial_sum_identities(limit: int = 20):
-    """The three slice/weighted binomial summation identities, all ranges <= limit."""
+def check_binomial_sum_identities():
+    """The three slice/weighted binomial summation identities, all ranges <= _LIMIT."""
     bad = []
-    for q in range(0, limit + 1):
-        for p in range(q, limit + 1):
+    for q in range(0, _LIMIT + 1):
+        for p in range(q, _LIMIT + 1):
             for s in range(q, p + 1):
                 lhs = sum(binom(i, q) for i in range(s, p + 1))
                 if lhs != binom(p + 1, q + 1) - binom(s, q + 1):
@@ -455,6 +456,7 @@ def check_binomial_sum_identities(limit: int = 20):
 
 _POOL_NUMERATORS = range(-3, 4)
 _POOL_DENOMINATORS = range(1, 4)
+_TRIES = 2000  # draws of each rejection sampler before it gives up
 
 
 def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -509,9 +511,15 @@ def random_hull_h(rng: random.Random, n: int) -> HMatrix:
     and positive rational weights summing to 1, and returns the matrix of the
     weighted sum of their :func:`hinv.catalog.q_from_sparsity` profiles.  The
     sum stays on the invariance level set and keeps a positive anti-diagonal.
-    Every draw tried up to N = 12 certified optimal with more than N-1
-    nonzero certificates.  Optimality is proved for N <= 8 by a sign
-    condition on the pattern pairs (tests/test_certify.py); the rest is observed.
+    Every draw is optimal, at every N.  Write v_j = B q_j = alpha_j (e_{N-j} - pi_j)
+    for the Q columns, with pi_j a distribution on 0..N-j-1; the certificates
+    are N alpha_j alpha_k (pi_j(N-k) - <pi_j, pi_k>) for k < N and
+    N alpha_j pi_j(0).  Each pattern's pi_j is a point mass at N-j-1 (top) or
+    uniform, so the hull point's pi_j, their mixture with positive weights,
+    is nondecreasing.  A nondecreasing pi_j has pi_j(N-k) >= pi_j(N-k-1) >=
+    <pi_j, pi_k> for any distribution pi_k on 0..N-k-1, and pi_j(0) >= 0, so
+    no certificate is negative.  Draws tried up to N = 12 had more than N-1
+    nonzero certificates.
     """
     from .catalog import BOTTOM, TOP, SparsityChoice, q_from_sparsity  # oracle-check never draws one
 
@@ -529,22 +537,22 @@ def random_hull_h(rng: random.Random, n: int) -> HMatrix:
     return h_from_q_profile(QProfile(n, values))
 
 
-def random_certificate_violating_h(rng: random.Random, n: int, max_tries: int = 2000) -> HMatrix:
+def random_certificate_violating_h(rng: random.Random, n: int) -> HMatrix:
     """Rejection-sample an invariant matrix with at least one negative certificate."""
-    for _ in range(max_tries):
+    for _ in range(_TRIES):
         h = random_invariant_h(rng, n)
         if certificates(h).negative_pairs():
             return h
-    raise RuntimeError(f"no certificate-violating matrix found in {max_tries} tries")
+    raise RuntimeError(f"no certificate-violating matrix found in {_TRIES} tries")
 
 
-def random_noninvariant_h(rng: random.Random, size: int, max_tries: int = 2000) -> HMatrix:
+def random_noninvariant_h(rng: random.Random, size: int) -> HMatrix:
     """Rejection-sample a matrix strictly off the invariance level set."""
-    for _ in range(max_tries):
+    for _ in range(_TRIES):
         h = random_h(rng, size)
         if not invariance_report(h).is_invariant():
             return h
-    raise RuntimeError(f"no non-invariant matrix found in {max_tries} tries")
+    raise RuntimeError(f"no non-invariant matrix found in {_TRIES} tries")
 
 
 def oracle_check_report(seed: int, n_max: int):
@@ -590,7 +598,7 @@ def oracle_check_report(seed: int, n_max: int):
     for name, check in (("vandermonde-convolution", check_vandermonde_convolution),
                         ("hockey-stick", check_hockey_stick),
                         ("binomial-sums", check_binomial_sum_identities)):
-        bad = check(20)
+        bad = check()
         record(name, not bad, str(bad[:3]) if bad else "")
 
     return lines, counterexample

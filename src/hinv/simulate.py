@@ -49,52 +49,47 @@ class Trajectory(namedtuple("Trajectory", "points residuals_sq bound_sq", defaul
         return self.residuals_sq[-1]
 
 
-class _NonexpansivenessSpotCheck:
-    """Warn if any pair of observed evaluations contradicts 1-Lipschitzness."""
-
-    def __init__(self, rel_tol: float = 1e-12):
-        self.rel_tol = rel_tol
-        self.pairs = []
-
-    def observe(self, x, tx, description):
-        for y, ty in self.pairs:
-            dist = float(np.linalg.norm(x - y))
-            spread = float(np.linalg.norm(tx - ty))
-            if spread > dist * (1.0 + self.rel_tol):
-                warnings.warn(
-                    f"oracle {description!r} looks expansive: |Tx-Ty|={spread:.17g} "
-                    f"> |x-y|={dist:.17g}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        self.pairs.append((x, tx))
+_SPREAD_TOL = 1e-12  # relative slack of the nonexpansiveness spot check
 
 
 def run(h: HMatrix, oracle: OperatorOracle, y0, r_sq: float | None = None) -> Trajectory:
     """Run the method from y0; one evaluation per step plus one terminal.
 
     When ``r_sq`` (the squared distance from y0 to a fixed point) is given,
-    the trajectory carries the envelope values 4 r_sq / (k+1)^2.
+    the trajectory carries the envelope values 4 r_sq / (k+1)^2.  Every new
+    evaluation is spot-checked against the earlier ones, with a warning if
+    a pair contradicts 1-Lipschitzness.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or oracle.dimension != y0.shape[0]:
         raise ValueError(f"start point has shape {y0.shape}, oracle expects ({oracle.dimension},)")
-    check = _NonexpansivenessSpotCheck()
     coeffs = [[float(x) for x in row] for row in h.rows]
+    points, images = [y0], []
 
-    points = [y0]
+    def residual(x):
+        """x - T x, after the spot check of the new pair (x, T x)."""
+        tx = oracle(x)
+        for y, ty in zip(points, images):
+            dist = float(np.linalg.norm(x - y))
+            spread = float(np.linalg.norm(tx - ty))
+            if spread > dist * (1.0 + _SPREAD_TOL):
+                warnings.warn(
+                    f"oracle {oracle.description!r} looks expansive: |Tx-Ty|={spread:.17g} "
+                    f"> |x-y|={dist:.17g}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        images.append(tx)
+        return x - tx
+
     residual_vecs = []
     for k in range(h.n_minus_1):
-        ty = oracle(points[k])
-        check.observe(points[k], ty, oracle.description)
-        residual_vecs.append(points[k] - ty)
+        residual_vecs.append(residual(points[k]))
         step = np.zeros_like(y0)
         for j in range(k + 1):
             step += coeffs[k][j] * residual_vecs[j]
         points.append(points[k] - step)
-    terminal_t = oracle(points[-1])
-    check.observe(points[-1], terminal_t, oracle.description)
-    residual_vecs.append(points[-1] - terminal_t)
+    residual_vecs.append(residual(points[-1]))
 
     residuals_sq = [float(v @ v) for v in residual_vecs]
     bound = None

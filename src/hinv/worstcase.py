@@ -26,7 +26,9 @@ fixed-step method:
 Everything except the final float emission (:func:`witness_vectors`) is
 exact rational arithmetic; square roots never appear because only squared
 norms and inner products are ever compared, with the scalar r_sq/N carried
-symbolically.
+symbolically: ``terminal_gy(h)`` takes only the matrix, and
+``worst_case_residual_sq(h, r_sq)`` is the one routine that reads the
+squared initial distance, which must be positive.
 """
 
 from collections import namedtuple
@@ -107,17 +109,15 @@ def worst_operator(n: int) -> WorstCaseOperator:
     return WorstCaseOperator(n=n, g_matrix=tuple(tuple(row) for row in g))
 
 
-def terminal_gy(h: HMatrix, r_sq) -> list:
+def terminal_gy(h: HMatrix) -> list:
     """Coefficients of the terminal gradient direction on the cyclic operator.
 
     Returns the signed binomial transform v of the row P(N-1, .),
         v_j = sum_{m >= j-1} (-1)^(m+j-1) C(m, j-1) P(N-1, m),
-    so that the squared terminal gradient norm is (r_sq/N) * |v|^2.  On the
-    invariance level set every v_j equals 1/N.
+    so that the squared terminal gradient norm from a start at squared
+    distance r_sq is (r_sq/N) * |v|^2.  On the invariance level set every
+    v_j equals 1/N.
     """
-    r_sq = as_rational(r_sq)
-    if r_sq <= 0:
-        raise ValueError("squared initial distance must be positive")
     return signed_binomial_transform(_p_table(h, h.n - 1)[-1])
 
 
@@ -129,7 +129,9 @@ def worst_case_residual_sq(h: HMatrix, r_sq) -> Fraction:
     exactly 4 r_sq / N^2, the rest is a sum of squares).
     """
     r_sq = as_rational(r_sq)
-    v = terminal_gy(h, r_sq)
+    if r_sq <= 0:
+        raise ValueError("squared initial distance must be positive")
+    v = terminal_gy(h)
     return 4 * (r_sq / h.n) * dot(v, v)
 
 
@@ -312,10 +314,10 @@ def build_perturbation(h: HMatrix, i0: int, j0: int):
     basis = constraint_matrices(h)
     mats = _complement_basis(basis, i0, j0)
     frob = gram([[x for row in m for x in row] for m in mats])  # Frobenius inner products
-    # N <X_k, D> and N <X_k, E>, so the solution is N times the coefficients
-    rhs = [[n * m[n - 1][n - 1] - 2 * m[n - 1][n], n * m[n - 1][n - 1]] for m in mats]
-    cd, ce = zip(*solve_consistent(frob, rhs))
-    rhs_d, rhs_e = zip(*rhs)
+    # N <X_k, D> and N <X_k, E>, so the solutions are N times the coefficients
+    rhs_d = [n * m[n - 1][n - 1] - 2 * m[n - 1][n] for m in mats]
+    rhs_e = [n * m[n - 1][n - 1] for m in mats]
+    cd, ce = solve_consistent(frob, [rhs_d, rhs_e])
     dd, de, ee = dot(cd, rhs_d), dot(cd, rhs_e), dot(ce, rhs_e)  # N^2 <D',D'>, <D',E'>, <E',E'>
     wd = 1 - (de / dd if dd else 0)  # weight of D', 1 - g
     we = 1 - (de / ee if ee else 0)  # weight of E', 1 - f

@@ -2,8 +2,9 @@
 
 Each entry of ``MUTANTS`` names one fault: the old text occurs exactly once
 in its file under ``src/hinv``, and replacing it by the new text must make
-every listed test fail.  Most mutants disable one exact re-check or move one
-tolerance; the tests that kill them inject the fault the check guards.
+every listed test fail.  Most mutants disable one exact re-check, move one
+tolerance or turn one verdict exit code into 0; the tests that kill a
+re-check mutant inject the fault the check guards.
 ``EQUIVALENT`` lists mutants that change no result, each with its reason;
 the runner skips them.  pytest does not collect this file (its name does not
 match ``test_*.py``), and ``tests/test_source_hygiene.py`` checks that every
@@ -40,6 +41,15 @@ MUTANTS = (
            "dens[j - 1] * dens[j - 1]",
            ("tests/test_acceptance.py::test_criterion_02_strange_regression",
             "tests/test_certify.py::test_elimination_agrees_on_catalog")),
+    Mutant("activated-trace recheck", "worstcase.py",
+           "    if a.pop((i0, j0)) <= 0:\n",
+           "    if a.pop((i0, j0)) is None:\n",
+           ("tests/test_worstcase.py::"
+            "test_build_perturbation_activated_trace_recheck_fires_on_a_nonpositive_trace",)),
+    Mutant("annihilation recheck", "worstcase.py",
+           "    if live:\n",
+           "    if False:\n",
+           ("tests/test_worstcase.py::test_build_perturbation_annihilation_recheck_names_the_live_trace",)),
     Mutant("corner recheck", "worstcase.py",
            "    if c != 0:\n",
            "    if False:\n",
@@ -54,6 +64,10 @@ MUTANTS = (
            "    if False:\n",
            ("tests/test_worstcase.py::"
             "test_witness_residual_recheck_catches_a_direction_that_lowers_the_terminal_entry",)),
+    Mutant("halving cap", "worstcase.py",
+           'raise InternalConsistencyError("halving failed to restore positive definiteness")',
+           "pass",
+           ("tests/test_worstcase.py::test_witness_halving_stops_after_256_attempts",)),
     Mutant("determinant recheck", "worstcase.py",
            "    if mat_det(scaled) != minors[-1]:\n",
            "    if False:\n",
@@ -66,24 +80,56 @@ MUTANTS = (
            'raise InternalConsistencyError("float Cholesky failed on an exactly PD matrix") from exc',
            "return []",
            ("tests/test_worstcase.py::test_witness_vectors_report_a_failed_float_cholesky",)),
+    Mutant("float round-trip check", "worstcase.py",
+           "    if err > 1e-10 * scale:\n",
+           "    if False:\n",
+           ("tests/test_worstcase.py::test_witness_vectors_check_the_float_round_trip",)),
+    Mutant("inconsistent system", "exactlinalg.py",
+           'raise InconsistentSystemError("system has no solution")',
+           "pass",
+           ("tests/test_exactlinalg.py::test_solve_consistent_inconsistent_raises",)),
     Mutant("minor scale", "exactlinalg.py",
            "minors.append(Fraction(p, den ** (k + 1)))",
            "minors.append(Fraction(p, den ** k))",
            ("tests/test_exactlinalg.py::"
             "test_leading_minors_one_pass_meets_a_zero_pivot_first_midway_and_last",
             "tests/test_exactlinalg_sympy.py::test_leading_minors_at_a_zero_pivot_match_sympy")),
+    Mutant("inconsistent row block", "oracles.py",
+           "        except InconsistentSystemError as exc:\n",
+           "        except ZeroDivisionError as exc:\n",
+           ("tests/test_certify.py::test_elimination_reports_an_inconsistent_row_block",)),
     Mutant("row-1 recheck", "oracles.py",
            "    if _row_block(h, lam, 1)[2] != 0:\n",
            "    if False:\n",
            ("tests/test_certify.py::test_elimination_checks_the_row_1_equation",)),
     Mutant("spot-check tolerance", "simulate.py",
-           "rel_tol: float = 1e-12",
-           "rel_tol: float = 1e-3",
+           "_SPREAD_TOL = 1e-12",
+           "_SPREAD_TOL = 1e-3",
            ("tests/test_simulate.py::test_spot_check_tolerance_is_1e_12_relative",)),
     Mutant("operator-norm slack", "simulate.py",
            "if not norm <= 1.0 + 1e-12:",
            "if not norm <= 1.0 + 1e-6:",
            ("tests/test_simulate.py::test_linear_oracle_norm_slack_is_1e_12",)),
+    Mutant("certify exit 2", "cli.py",
+           "        return EXIT_INVARIANCE\n",
+           "        return EXIT_OK\n",
+           ("tests/test_cli.py::test_certify_exit_codes",)),
+    Mutant("certify exit 3", "cli.py",
+           "    return EXIT_CERTIFICATE\n",
+           "    return EXIT_OK\n",
+           ("tests/test_cli.py::test_certify_exit_codes",)),
+    Mutant("falsify exit 4", "cli.py",
+           "        return EXIT_NOTHING_TO_FALSIFY\n",
+           "        return EXIT_OK\n",
+           ("tests/test_cli.py::test_falsify_on_optimal_input",)),
+    Mutant("falsify exit 5", "cli.py",
+           "        return EXIT_FALSIFY_INVARIANCE\n",
+           "        return EXIT_OK\n",
+           ("tests/test_cli.py::test_falsify_on_noninvariant_input",)),
+    Mutant("oracle-check exit 6", "cli.py",
+           "    return EXIT_OK if counterexample is None else EXIT_ORACLE_MISMATCH\n",
+           "    return EXIT_OK\n",
+           ("tests/test_cli.py::test_oracle_check_injected_bug",)),
 )
 
 EQUIVALENT = (

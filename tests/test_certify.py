@@ -192,6 +192,23 @@ def test_elimination_checks_the_row_1_equation(monkeypatch):
             H.solve_lambda_by_elimination(h)
 
 
+def test_elimination_reports_an_inconsistent_row_block(monkeypatch):
+    # block N's matrix is nonsingular on the level set, so a shifted total there
+    # leaves its k equations in k - 1 unknowns without a solution
+    from hinv import oracles
+
+    row_block = oracles._row_block
+
+    def shifted(h, lam, k):
+        a, b, total = row_block(h, lam, k)
+        return a, b, total + (k == h.n)
+
+    monkeypatch.setattr(oracles, "_row_block", shifted)
+    for h in (H.ohm(5), H.dual_ohm(6), H.strange3()):
+        with pytest.raises(H.InternalConsistencyError, match=f"row block {h.n} inconsistent despite invariance"):
+            H.solve_lambda_by_elimination(h)
+
+
 def test_elimination_and_profile_round_trip_at_large_horizons():
     rng = random.Random(71)
     for n in (16, 20, 24):
@@ -340,7 +357,7 @@ def test_certificates_solve_generic_linear_system():
             columns.append([probed[key] - base[key] for key in eq_keys])
         a = [[columns[c][r] for c in range(len(pairs))] for r in range(len(eq_keys))]
         b = [-base[key] for key in eq_keys]
-        solution = solve_consistent(a, b)
+        solution, = solve_consistent(a, [b])
         lam = H.certificates(h)
         for pair, value in zip(pairs, solution):
             assert lam.value(*pair) == value

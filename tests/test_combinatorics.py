@@ -40,15 +40,15 @@ def test_negative_upper_argument():
 
 
 def test_vandermonde_convolution_sweep():
-    assert check_vandermonde_convolution(20) == []
+    assert check_vandermonde_convolution() == []
 
 
 def test_hockey_stick_sweep():
-    assert check_hockey_stick(20) == []
+    assert check_hockey_stick() == []
 
 
 def test_binomial_sum_identities_sweep():
-    assert check_binomial_sum_identities(20) == []
+    assert check_binomial_sum_identities() == []
 
 
 def test_binomial_congruence_matches_double_sum():

@@ -22,8 +22,9 @@ def test_solve_consistent_unique_square_solution():
     a = [[F(0), F(2), F(1)], [F(1, 3), F(-1), F(0)], [F(4), F(0), F(-5, 2)]]
     x = [F(3, 4), F(-2), F(7)]
     b = mat_vec(a, x)
-    assert solve_consistent(a, b) == x
-    assert solve_consistent([], []) == []
+    assert solve_consistent(a, [b]) == [x]
+    assert solve_consistent(a, []) == []
+    assert solve_consistent([], [[]]) == [[]]
 
 
 def test_mat_det_matches_leibniz_expansion():
@@ -94,7 +95,7 @@ def test_solve_consistent_rank_deficient_sets_free_variables_to_zero():
     for rows, cols, r in SHAPES:
         a = rank_deficient(rng, rows, cols, r)
         b = mat_vec(a, [random_rational(rng) for _ in range(cols)])
-        x = solve_consistent(a, b)
+        x, = solve_consistent(a, [b])
         assert mat_vec(a, x) == b, (rows, cols, r)
         assert all(x[c] == 0 for c in free_columns(a)), (rows, cols, r)
 
@@ -109,11 +110,11 @@ def test_solve_consistent_inconsistent_raises():
         while rank([row + [y] for row, y in zip(a, b)]) == r:
             b = [random_rational(rng, nonzero=True) for _ in range(rows)]
         with pytest.raises(InconsistentSystemError):
-            solve_consistent(a, b)
+            solve_consistent(a, [b])
         with pytest.raises(InconsistentSystemError):
-            solve_consistent(a, [[F(0), y] for y in b])  # one bad column spoils the block
+            solve_consistent(a, [[F(0)] * rows, b])  # one bad column spoils the block
     with pytest.raises(InconsistentSystemError):
-        solve_consistent([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)])
+        solve_consistent([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(3)]])
 
 
 def test_solve_consistent_matrix_rhs_matches_columnwise_solves():
@@ -122,9 +123,9 @@ def test_solve_consistent_matrix_rhs_matches_columnwise_solves():
         a = rank_deficient(rng, rows, cols, r)
         sols = [[random_rational(rng) for _ in range(cols)] for _ in range(3)]
         rhs_cols = [mat_vec(a, x) for x in sols]
-        block = solve_consistent(a, [list(row) for row in zip(*rhs_cols)])
-        assert len(block) == cols and all(len(row) == 3 for row in block)
-        assert [list(col) for col in zip(*block)] == [solve_consistent(a, b) for b in rhs_cols]
+        block = solve_consistent(a, rhs_cols)
+        assert len(block) == 3 and all(len(x) == cols for x in block)
+        assert block == [solve_consistent(a, [b])[0] for b in rhs_cols]
 
 
 def test_mat_nullspace_basis():
@@ -184,9 +185,8 @@ def test_fraction_free_back_substitution_matches_fraction_route():
         b_columns = [mat_vec(a, [random_rational(rng) for _ in range(cols)]) for _ in range(3)]
         solutions, basis, negative = reference_solutions(a, b_columns)
         negative_pivots += negative
-        assert [solve_consistent(a, b) for b in b_columns] == solutions, trial
-        block = solve_consistent(a, [list(row) for row in zip(*b_columns)])
-        assert [list(col) for col in zip(*block)] == solutions, trial
+        assert [solve_consistent(a, [b])[0] for b in b_columns] == solutions, trial
+        assert solve_consistent(a, b_columns) == solutions, trial
         assert mat_nullspace(a) == basis, trial
     assert negative_pivots
 
@@ -266,7 +266,7 @@ def test_skipped_column_matches_leibniz_and_solves():
     for rows, cols, j, ratio in ((6, 6, 2, F(7, 3)), (4, 7, 1, F(0)), (8, 5, 3, F(-2, 9))):
         a = skipped_column(rng, rows, cols, j, ratio)
         b = mat_vec(a, [random_rational(rng) for _ in range(cols)])
-        x = solve_consistent(a, b)
+        x, = solve_consistent(a, [b])
         assert mat_vec(a, x) == b and x[j] == 0, (rows, cols, j)
         basis = mat_nullspace(a)
         assert len(basis) == cols - rank(a), (rows, cols, j)

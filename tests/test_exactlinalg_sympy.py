@@ -48,15 +48,16 @@ def product(a, b):
 
 
 def reference_solution(a, rhs_columns):
-    """The solution with every free variable 0, read off sympy's rref of [a | rhs]."""
+    """One solution per right-hand side, every free variable 0, read off sympy's rref of [a | rhs]."""
     cols = len(a[0])
     augmented = [list(row) + list(rhs) for row, rhs in zip(a, zip(*rhs_columns))]
     reduced, pivots = to_domain(augmented).rref()
     reduced = reduced.to_list()
     assert all(p < cols for p in pivots)  # consistent: no pivot in a right-hand side
-    x = [[F(0)] * len(rhs_columns) for _ in range(cols)]
+    x = [[F(0)] * cols for _ in rhs_columns]
     for r, p in enumerate(pivots):
-        x[p] = [to_fraction(v) for v in reduced[r][cols:]]
+        for sol, v in zip(x, reduced[r][cols:]):
+            sol[p] = to_fraction(v)
     return x
 
 
@@ -89,8 +90,8 @@ def test_solve_consistent_matches_sympy_rref():
         a = random_matrix(rng, n, n)
         b_columns = [[random_rational(rng) for _ in range(n)] for _ in range(3)]
         want = reference_solution(a, b_columns)
-        assert solve_consistent(a, b_columns[0]) == [row[0] for row in want], n
-        assert solve_consistent(a, [list(row) for row in zip(*b_columns)]) == want, n
+        assert solve_consistent(a, b_columns[:1]) == want[:1], n
+        assert solve_consistent(a, b_columns) == want, n
 
 
 def test_solve_consistent_rank_deficient_matches_sympy_rref():
@@ -100,8 +101,8 @@ def test_solve_consistent_rank_deficient_matches_sympy_rref():
         b_columns = [[sum((x * y for x, y in zip(row, sol)), F(0)) for row in a]
                      for sol in random_matrix(rng, 3, cols)]
         want = reference_solution(a, b_columns)
-        assert solve_consistent(a, b_columns[0]) == [row[0] for row in want], (rows, cols, r)
-        assert solve_consistent(a, [list(row) for row in zip(*b_columns)]) == want, (rows, cols, r)
+        assert solve_consistent(a, b_columns[:1]) == want[:1], (rows, cols, r)
+        assert solve_consistent(a, b_columns) == want, (rows, cols, r)
 
 
 def test_mat_nullspace_matches_sympy():
@@ -174,7 +175,7 @@ def test_skipped_column_solves_and_nullspaces_match_sympy():
             b_columns = [[sum((x * y for x, y in zip(row, sol)), F(0)) for row in a]
                          for sol in random_matrix(rng, 3, cols)]
             want = reference_solution(a, b_columns)
-            assert solve_consistent(a, b_columns[0]) == [row[0] for row in want], (rows, cols)
-            assert solve_consistent(a, [list(row) for row in zip(*b_columns)]) == want, (rows, cols)
+            assert solve_consistent(a, b_columns[:1]) == want[:1], (rows, cols)
+            assert solve_consistent(a, b_columns) == want, (rows, cols)
             basis = [[to_fraction(x) for x in vec] for vec in to_domain(a).nullspace().to_list()]
             assert basis and mat_nullspace(a) == basis, (rows, cols)

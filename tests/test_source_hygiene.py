@@ -1,5 +1,6 @@
 """Static checks on ``src/hinv``: nothing a deletion leaves behind survives,
-and every mutant of ``tests/mutants.py`` still applies.
+no default stands in for a constant, and every mutant of ``tests/mutants.py``
+still applies.
 
 Each module is parsed with ``ast``, not imported, so the checks take
 milliseconds and see the source exactly as written.
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hinv"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hinv"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+CALLER_DIRS = ("src", "tests", "demos", "perfbench")
 
 
 def references(nodes):
@@ -62,6 +65,73 @@ def test_the_checks_see_what_they_look_for():
     assert unreferenced_private_definitions({"m.py": tree}) == ["m.py:_f", "m.py:_C"]
 
 
+def defaulted_parameters(tree):
+    """(function, parameter, position or None, default) per defaulted parameter.
+
+    The position counts the call's positional arguments, so a method's self is
+    not one, and a class's ``__init__`` goes by the class name, as it is called.
+    """
+    owners = {stmt: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        name = owners[node] if node in owners and node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        start = first - (node in owners)  # a call passes no self or cls
+        for index, (arg, default) in enumerate(zip(positional[first:], args.defaults), start=start):
+            yield name, arg.arg, index, default
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, default
+
+
+def overrides(call, parameter, index, default):
+    """Whether the call may pass the parameter something other than its default literal."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True  # an unpacked argument might pass anything
+    given = [kw.value for kw in call.keywords if kw.arg == parameter]
+    if index is not None and index < len(call.args):
+        given.append(call.args[index])
+    return any(ast.dump(value) != ast.dump(default) for value in given)
+
+
+def defaults_never_overridden(trees, caller_trees):
+    """Defaulted parameters that no call of the same name sets to anything but the default.
+
+    Calls match by bare name (``f(...)`` or ``x.f(...)``), so two functions
+    that share a name share their calls: a clash can only hide a finding.
+    """
+    calls = {}
+    for tree in caller_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return [f"{name}:{function}({parameter}={ast.unparse(default)})" for name, tree in trees.items()
+            for function, parameter, index, default in defaulted_parameters(tree)
+            if not any(overrides(call, parameter, index, default) for call in calls.get(function, ()))]
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a default that every call leaves as it is is a constant: write it as one
+    callers = [ast.parse(path.read_text(), filename=str(path))
+               for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert defaults_never_overridden(TREES, callers) == []
+
+
+def test_the_default_check_sees_what_it_looks_for():
+    tree = ast.parse("def f(a, b=1, *, c=None):\n    pass\n\n"
+                     "class K:\n    def __init__(self, t=2):\n        pass\n\n"
+                     "    def m(self, u=3, v=4):\n        pass\n")
+    callers = [ast.parse("f(0, 1, c=None)\nK(5)\nk.m(3, v=0)\n")]
+    assert defaults_never_overridden({"m.py": tree}, callers) == ["m.py:f(b=1)", "m.py:f(c=None)", "m.py:m(u=3)"]
+    callers.append(ast.parse("f(*args)\nm(**options)\n"))
+    assert defaults_never_overridden({"m.py": tree}, callers) == []
+
+
 def test_every_mutant_still_applies_and_names_existing_tests():
     # tests/mutants.py lists one-line faults of src/hinv; an edit that moves an old
     # text or renames a killing test must update the list, or the list would rot
@@ -70,7 +140,6 @@ def test_every_mutant_still_applies_and_names_existing_tests():
     spec.loader.exec_module(mutants)
     entries = list(mutants.MUTANTS) + [mutant for mutant, _ in mutants.EQUIVALENT]
     assert len({m.name for m in entries}) == len(entries)
-    tests_dir = Path(__file__).resolve().parent
     for m in entries:
         assert (SRC / m.file).read_text().count(m.old) == 1, m.name
         assert m.old != m.new, m.name
@@ -78,5 +147,5 @@ def test_every_mutant_still_applies_and_names_existing_tests():
         assert m.kills, m.name
         for test in m.kills:
             path, name = test.split("::")
-            tree = ast.parse((tests_dir.parent / path).read_text())
+            tree = ast.parse((ROOT / path).read_text())
             assert name in {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}, test

@@ -64,15 +64,15 @@ def test_worst_operator_t_is_orthogonal():
 
 def test_terminal_gy_values():
     for n in (3, 5, 8):
-        assert H.terminal_gy(H.ohm(n), 1) == [F(1, n)] * n
+        assert H.terminal_gy(H.ohm(n)) == [F(1, n)] * n
     zero2 = H.HMatrix([[0], [0, 0]])
-    assert H.terminal_gy(zero2, 1) == [1, 0, 0]
+    assert H.terminal_gy(zero2) == [1, 0, 0]
     rng = random.Random(5)
     for _ in range(5):
         h = random_invariant_h(rng, rng.randint(2, 7))
-        assert H.terminal_gy(h, 1) == [F(1, h.n)] * h.n
-    with pytest.raises(ValueError):
-        H.terminal_gy(H.ohm(3), 0)
+        assert H.terminal_gy(h) == [F(1, h.n)] * h.n
+    with pytest.raises(ValueError, match="must be positive"):
+        H.worst_case_residual_sq(H.ohm(3), 0)
 
 
 def test_worst_case_residual_values():
@@ -131,7 +131,7 @@ def test_gram_g0_equals_gram_of_the_cyclic_run(catalog8):
         last = run_gram[n - 1][n - 1]
         for r in (F(1), F(7, 3)):
             assert H.worst_case_residual_sq(h, r) == 4 * r * last, label
-        assert sum(x * x for x in H.terminal_gy(h, 1)) / n == last, label
+        assert sum(x * x for x in H.terminal_gy(h)) / n == last, label
 
 
 def test_gram_g0_invariance_structure(catalog8):
@@ -431,6 +431,40 @@ def test_build_perturbation_selector_recheck_fires_on_a_nonpositive_selector(mon
             H.build_perturbation(h, 4, 2)
 
 
+def test_build_perturbation_activated_trace_recheck_fires_on_a_nonpositive_trace(monkeypatch):
+    exact = wc._defining_traces
+    h = H.h_dual(H.strange3())
+    for value in (0, -1):
+
+        def flattened(xs, m, value=value):
+            a, *rest = exact(xs, m)
+            return ({**a, (4, 2): value}, *rest)
+
+        monkeypatch.setattr(wc, "_defining_traces", flattened)
+        with pytest.raises(H.InternalConsistencyError, match="activated trace is not strictly positive"):
+            H.build_perturbation(h, 4, 2)
+
+
+def test_build_perturbation_annihilation_recheck_names_the_live_trace(monkeypatch):
+    # one stray monotonicity trace, then one stray fixed-point trace, each named
+    exact = wc._defining_traces
+    h = H.h_dual(H.strange3())
+
+    def stray_monotonicity(xs, m):
+        a, *rest = exact(xs, m)
+        return ({**a, (3, 1): 1}, *rest)
+
+    def stray_fixed_point(xs, m):
+        a, b, *rest = exact(xs, m)
+        return (a, b[:1] + [-1] + b[2:], *rest)
+
+    for fake, message in ((stray_monotonicity, r"monotonicity trace at \(3, 1\) not annihilated"),
+                          (stray_fixed_point, "fixed-point trace at 2 not annihilated")):
+        monkeypatch.setattr(wc, "_defining_traces", fake)
+        with pytest.raises(H.InternalConsistencyError, match=message):
+            H.build_perturbation(h, 4, 2)
+
+
 def test_complement_basis_is_orthogonal_to_the_span_and_independent():
     # each X_k is trace-orthogonal to every member of S (all monotonicity matrices
     # but (i0, j0), the fixed-point matrices and the corner) against the entrywise
@@ -496,10 +530,10 @@ def _span_route_perturbation(h, i0, j0):
     a = dict(zip(a_pairs, rest))
     shared = [pair for key, pair in a.items() if key != (i0, j0)] + rest[len(a):] + [c]
     gram = [[inner(p, q) for q in shared] for p in shared]
-    rhs = [[inner(p, t) for t in (d, e)] for p in shared]
-    cd, ce = zip(*solve_consistent(gram, rhs))
+    rhs = [[inner(p, t) for p in shared] for t in (d, e)]
+    cd, ce = solve_consistent(gram, rhs)
     (dd, de), (_, ee) = [
-        [F(inner(s, t) - sum(map(mul, cs, col)), 2 * scale ** 4) for t, col in zip((d, e), zip(*rhs))]
+        [F(inner(s, t) - sum(map(mul, cs, col)), 2 * scale ** 4) for t, col in zip((d, e), rhs)]
         for s, cs in zip((d, e), (cd, ce))
     ]
     wd = 1 - (de / dd if dd else 0)
@@ -602,6 +636,21 @@ def test_witness_residual_recheck_catches_a_direction_that_lowers_the_terminal_e
         H.suboptimality_witness(h)
 
 
+def test_witness_halving_stops_after_256_attempts(monkeypatch):
+    # minors that never turn positive end the search with the halving error,
+    # after one pass per epsilon = 1, 1/2, ..., 2^-255
+    passes = []
+
+    def never_positive(a):
+        passes.append(len(a))
+        return [F(-1)] * len(a)
+
+    monkeypatch.setattr(wc, "leading_principal_minors", never_positive)
+    with pytest.raises(H.InternalConsistencyError, match="halving failed to restore positive definiteness"):
+        H.suboptimality_witness(H.h_dual(H.strange3()), 4, 2)
+    assert passes == [5] * 256
+
+
 def test_falsify_checks_each_witness_with_one_determinant(tmp_path, capsys, monkeypatch, mat_det_calls):
     # rejected epsilons cost one leading-minor pass each and no determinant; the
     # accepted one adds the single mat_det re-check
@@ -651,6 +700,15 @@ def test_witness_vectors_report_a_failed_float_cholesky(monkeypatch):
     w = H.suboptimality_witness(H.h_dual(H.strange3()), 4, 2)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     with pytest.raises(H.InternalConsistencyError, match="float Cholesky failed"):
+        H.witness_vectors(w)
+
+
+def test_witness_vectors_check_the_float_round_trip(monkeypatch):
+    # a factor off by one part in 1e8 reproduces the Gram matrix far outside 1e-10
+    exact = np.linalg.cholesky
+    w = H.suboptimality_witness(H.h_dual(H.strange3()), 4, 2)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: exact(a) * (1 + 1e-8))
+    with pytest.raises(H.InternalConsistencyError, match="float round-trip error .* exceeds tolerance"):
         H.witness_vectors(w)
 
 
